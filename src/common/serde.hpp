@@ -52,6 +52,25 @@ class Writer {
     buf_.insert(buf_.end(), p, p + n);
   }
 
+  /// Overwrites `n` bytes already written at `pos` (a length prefix
+  /// written as a placeholder before its payload).
+  void Overwrite(size_t pos, const void* data, size_t n) {
+    MEGA_DCHECK(pos + n <= buf_.size()) << "overwrite past end";
+    std::memcpy(buf_.data() + pos, data, n);
+  }
+
+  /// Appends `n` bytes for the caller to fill in place (e.g. by pread)
+  /// and returns a pointer to them.
+  uint8_t* Extend(size_t n) {
+    size_t old = buf_.size();
+    buf_.resize(old + n);
+    return buf_.data() + old;
+  }
+
+  /// Reserves capacity for `n` bytes in total, so a producer that knows
+  /// its exact size allocates once.
+  void Reserve(size_t n) { buf_.reserve(n); }
+
   std::vector<uint8_t> Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
 
@@ -160,6 +179,15 @@ template <typename... Ts>
 struct IsStdWrapper<std::tuple<Ts...>> : std::true_type {};
 }  // namespace detail
 
+/// True when Serde<T> is the raw-bytes specialization below: a value
+/// encodes as its sizeof(T) object bytes, so runs of them can be copied in
+/// bulk (DenseState's chunk path) with the same bytes as element-wise
+/// encoding.
+template <typename T>
+concept RawBytesSerde = std::is_trivially_copyable_v<T> &&
+                        !detail::IsStdWrapper<T>::value &&
+                        !detail::HasMemberSerde<T>;
+
 /// Cap on up-front container reserves while decoding: length prefixes are
 /// only loosely validated (>= 1 byte per element), so reserves beyond this
 /// are left to organic growth as elements actually decode.
@@ -178,9 +206,7 @@ concept Serializable = requires(Writer& w, Reader& r, const T& v) {
 
 // Trivially copyable scalars and PODs without member serde.
 template <typename T>
-struct Serde<T, std::enable_if_t<std::is_trivially_copyable_v<T> &&
-                                 !detail::IsStdWrapper<T>::value &&
-                                 !detail::HasMemberSerde<T>>> {
+struct Serde<T, std::enable_if_t<RawBytesSerde<T>>> {
   static void Encode(Writer& w, const T& v) { w.WriteBytes(&v, sizeof(T)); }
   static T Decode(Reader& r) {
     T v;

@@ -6,22 +6,27 @@
 // the operator for future times", §3.4), so that a migration moves both.
 //
 // The user state inside a bin sits on the migratable-state layer
-// (src/state/): a backend exposing whole-value serde *and* a chunk
-// interface, so a bin can leave its worker either as one monolithic frame
-// or as a sequence of size-bounded chunk frames (BinChunk) absorbed
-// incrementally at the destination. Bin and BinaryBin share one
-// serde/chunk implementation (detail::SerializeParts and friends) that is
-// variadic over the pending maps.
+// (src/state/): a backend exposing whole-value serde (checkpoints) *and* a
+// resumable chunk cursor. A migrating bin is moved out of its worker into
+// a BinCursor, which encodes its BinChunk frames one at a time when F's
+// flow control asks for them — many size-bounded frames, or one frame
+// when chunking is off — and the destination absorbs them incrementally.
+// Bin and BinaryBin share one serde/chunk implementation
+// (detail::SerializeParts and friends) that is variadic over the pending
+// maps.
 //
 // The F and S operator instances on the same worker share the bin
 // container through a shared pointer — they run on the same thread, so no
 // synchronization is needed, exactly as the paper describes.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -34,8 +39,9 @@ namespace megaphone {
 
 namespace detail {
 
-/// Section tags inside a BinChunk payload.
-constexpr uint8_t kSecWhole = 0;     // monolithic whole-bin encoding
+/// Section tags inside a BinChunk payload (tag 0 is retired: it carried
+/// a whole-bin encoding before monolithic migration became an unbounded
+/// cursor).
 constexpr uint8_t kSecState = 1;     // one backend state chunk
 constexpr uint8_t kSecPending0 = 2;  // pending map i at tag kSecPending0+i
 
@@ -54,33 +60,6 @@ void DeserializeParts(Reader& r, Backend& backend, Pending&... pending) {
   ((pending = Decode<Pending>(r)), ...);
 }
 
-/// Chunked extraction shared by Bin and BinaryBin: state sections from the
-/// backend's enumerator, then each pending map's encoding sliced into
-/// bounded sections. `max_bytes == 0` produces the monolithic form — one
-/// frame holding a single whole-bin section.
-template <typename Backend, typename... Pending>
-void DrainPartsChunks(size_t max_bytes,
-                      std::vector<std::vector<uint8_t>>& out,
-                      const Backend& backend, const Pending&... pending) {
-  state::ChunkBuilder cb(max_bytes, &out);
-  if (max_bytes == 0) {
-    Writer w;
-    SerializeParts(w, backend, pending...);
-    cb.AddSectionSliced(kSecWhole, w.Take());
-  } else {
-    backend.EnumerateChunks(max_bytes, [&](std::vector<uint8_t>&& sec) {
-      cb.AddSection(kSecState, sec);
-    });
-    uint8_t tag = kSecPending0;
-    auto add_pending = [&](const auto& p) {
-      if (!p.empty()) cb.AddSectionSliced(tag, EncodeToBytes(p));
-      ++tag;
-    };
-    (add_pending(pending), ...);
-  }
-  cb.Finish();
-}
-
 /// Incremental absorption shared by Bin and BinaryBin. Pending-map
 /// sections accumulate into `bufs` (one buffer per map) until the last
 /// frame, whose arrival finalizes the backend and decodes the maps.
@@ -90,9 +69,7 @@ void AbsorbPartsChunk(Reader& r, bool last,
                       Backend& backend, Pending&... pending) {
   static_assert(sizeof...(Pending) == N);
   state::ForEachSection(r, [&](uint8_t tag, Reader& sec) {
-    if (tag == kSecWhole) {
-      DeserializeParts(sec, backend, pending...);
-    } else if (tag == kSecState) {
+    if (tag == kSecState) {
       backend.AbsorbChunk(sec);
       // Malformed wire input surfaces as SerdeError, never UB or abort.
       if (!sec.AtEnd()) {
@@ -160,10 +137,9 @@ struct Bin {
     return b;
   }
 
-  void DrainChunks(size_t max_bytes,
-                   std::vector<std::vector<uint8_t>>& out) const {
-    detail::DrainPartsChunks(max_bytes, out, state, pending);
-  }
+  /// The pending maps, in section-tag order (see detail::BinCursor).
+  auto pending_maps() const { return std::tie(pending); }
+
   void AbsorbChunk(Reader& r, bool last) {
     detail::AbsorbPartsChunk(r, last, absorb_bufs_, state, pending);
   }
@@ -207,10 +183,8 @@ struct BinaryBin {
     return b;
   }
 
-  void DrainChunks(size_t max_bytes,
-                   std::vector<std::vector<uint8_t>>& out) const {
-    detail::DrainPartsChunks(max_bytes, out, state, pending1, pending2);
-  }
+  auto pending_maps() const { return std::tie(pending1, pending2); }
+
   void AbsorbChunk(Reader& r, bool last) {
     detail::AbsorbPartsChunk(r, last, absorb_bufs_, state, pending1,
                              pending2);
@@ -323,39 +297,109 @@ class BinStashPool {
 
 namespace detail {
 
+/// The frame cursor of one migrating bin. It owns the bin, moved out of
+/// the worker's container: from the migration time on, routing sends the
+/// bin's records to the new owner, so nothing else touches it. Frames are
+/// cut at `max_bytes` (0 = one frame for the whole bin):
+///
+///   * a frame starts with the next state section, a chunk from the
+///     backend's cursor; a section that fills the frame or is not the
+///     backend's last ends the frame;
+///   * after the state, each nonempty pending map's encoding follows in
+///     slices of at most `max_bytes`, packed into the frame while they
+///     fit, the frame ending once it reaches the bound;
+///   * an empty bin is one empty final frame, so residency transfers.
+template <typename BinT>
+class BinCursor final : public FrameCursor {
+ public:
+  BinCursor(std::unique_ptr<BinT> bin, size_t max_bytes)
+      : bin_(std::move(bin)),
+        state_(bin_->state),
+        bound_(max_bytes),
+        max_(max_bytes == 0 ? std::numeric_limits<size_t>::max()
+                            : max_bytes) {}
+
+  bool done() const override { return done_; }
+
+  size_t NextFrame(Writer& w) override {
+    MEGA_DCHECK(!done_) << "frame requested past the last one";
+    size_t payload = 0;
+    if (!state_.done()) {
+      payload += state::AppendSection(
+          w, kSecState, [&](Writer& fw) { state_.Next(bound_, fw); });
+      if (!state_.done() || w.size() >= max_) return Finish(payload);
+    }
+    LoadPending();
+    while (next_ < pending_.size()) {
+      const auto& [tag, bytes] = pending_[next_];
+      size_t n = std::min(bytes.size() - off_, max_);
+      if (w.size() > 0 && w.size() + n + state::kSectionHeader > max_) break;
+      payload += state::AppendSection(
+          w, tag, [&](Writer& fw) { fw.WriteBytes(bytes.data() + off_, n); });
+      off_ += n;
+      if (off_ == bytes.size()) {
+        ++next_;
+        off_ = 0;
+      }
+      if (w.size() >= max_) break;
+    }
+    return Finish(payload);
+  }
+
+ private:
+  // The frame was the last one once the state and every pending section
+  // have been sent.
+  size_t Finish(size_t payload) {
+    if (state_.done()) LoadPending();
+    done_ = state_.done() && next_ == pending_.size();
+    return payload;
+  }
+
+  // Encodes the nonempty pending maps, whose sections follow the state.
+  void LoadPending() {
+    if (pending_loaded_) return;
+    pending_loaded_ = true;
+    uint8_t tag = kSecPending0;
+    std::apply(
+        [&](const auto&... m) {
+          ((m.empty() ? void()
+                      : (void)pending_.emplace_back(tag, EncodeToBytes(m)),
+            ++tag),
+           ...);
+        },
+        bin_->pending_maps());
+  }
+
+  std::unique_ptr<BinT> bin_;
+  typename BinT::Backend::ChunkCursor state_;
+  size_t bound_;  // chunk bound handed to the backend (0 = unbounded)
+  size_t max_;    // frame bound, 0 mapped to "no bound"
+  // (tag, encoding) of each nonempty pending map, sent in order from
+  // pending_[next_] at byte off_.
+  std::vector<std::pair<uint8_t, std::vector<uint8_t>>> pending_;
+  size_t next_ = 0;
+  size_t off_ = 0;
+  bool pending_loaded_ = false;
+  bool done_ = false;
+};
+
 /// Extracts `bin` from the shared container for migration: unregisters its
-/// pending times, drains it into chunk frames for `target` (monolithic
-/// when `chunk_bytes == 0`), and clears the slot. Returns an empty vector
-/// for non-resident bins — there is nothing to move; the target creates
-/// the bin lazily. A resident bin always yields at least one frame (the
-/// final one), so residency itself transfers even when the bin is empty.
+/// pending times, moves the bin out of its slot and returns the cursor
+/// that will frame it (chunks of ~chunk_bytes, 0 = one frame). Nothing is
+/// encoded yet. Returns null for non-resident bins — there is nothing to
+/// move; the target creates the bin lazily.
 template <typename BinT, typename T>
-std::vector<BinChunk> ExtractBinChunks(BinsShared<BinT, T>& shared,
-                                       BinId bin, uint32_t target,
-                                       uint64_t chunk_bytes) {
+std::unique_ptr<FrameCursor> ExtractBin(BinsShared<BinT, T>& shared,
+                                        BinId bin, uint64_t chunk_bytes) {
   auto& slot = shared.bins[bin];
-  if (!slot) return {};
+  if (!slot) return nullptr;
   slot->ForEachPendingTime([&](const T& t) {
     auto it = shared.pending_bins.find(t);
     if (it != shared.pending_bins.end()) it->second.erase(bin);
     // Empty sets are left for S to erase and release its capability.
   });
-  std::vector<std::vector<uint8_t>> payloads;
-  slot->DrainChunks(static_cast<size_t>(chunk_bytes), payloads);
-  slot.reset();
-  if (payloads.empty()) payloads.emplace_back();  // residency-only bin
-  std::vector<BinChunk> frames;
-  frames.reserve(payloads.size());
-  for (uint32_t i = 0; i < payloads.size(); ++i) {
-    BinChunk c;
-    c.target = target;
-    c.bin = bin;
-    c.seq = i;
-    c.last = (i + 1 == payloads.size()) ? 1 : 0;
-    c.bytes = std::move(payloads[i]);
-    frames.push_back(std::move(c));
-  }
-  return frames;
+  return std::make_unique<BinCursor<BinT>>(std::move(slot),
+                                           static_cast<size_t>(chunk_bytes));
 }
 
 }  // namespace detail

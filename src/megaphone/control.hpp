@@ -9,9 +9,11 @@
 // migrations initiated.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -33,8 +35,8 @@ using BinId = uint32_t;
 ///
 /// The payload is a section stream ([u8 tag][u64 len][bytes]...; tags in
 /// bin.hpp): state sections feed the backend's incremental absorb;
-/// pending-map sections are reassembled and decoded at the last frame; a
-/// whole-bin section carries the monolithic encoding when chunking is off.
+/// pending-map sections are reassembled and decoded at the last frame.
+/// With chunking off the bin is one frame holding every section.
 ///
 /// Member serde lets the state channel itself cross process boundaries:
 /// a migration to a worker in another process ships these bytes over the
@@ -64,6 +66,23 @@ struct BinChunk {
     c.bytes = Decode<std::vector<uint8_t>>(r);
     return c;
   }
+};
+
+/// A bin on its way out of this worker: it owns the moved-out bin and
+/// encodes its frames on demand, so F does per step only the encoding
+/// work that the step's flow-control budget lets it send.
+class FrameCursor {
+ public:
+  FrameCursor() = default;
+  FrameCursor(const FrameCursor&) = delete;
+  FrameCursor& operator=(const FrameCursor&) = delete;
+  virtual ~FrameCursor() = default;
+  /// Appends the next frame's payload to `w` and returns the frame's
+  /// section payload bytes — the bytes the chunk bound counts, without
+  /// section and frame headers.
+  virtual size_t NextFrame(Writer& w) = 0;
+  /// True once the final frame has been produced.
+  virtual bool done() const = 0;
 };
 
 /// One configuration update: bin -> worker, effective at the update's
@@ -256,14 +275,22 @@ class ControlState {
       auto it = pending_.begin();
       const T& t = it->first;
       if (control_frontier.LessEqual(t)) break;  // still mutable
-      std::vector<std::pair<BinId, uint32_t>> mine;
       for (const ControlInst& u : it->second) {
-        uint32_t old_owner = routing_.OwnerBefore(t, u.bin);
         routing_.Apply(t, u.bin, u.worker);
-        if (old_owner == me_ && u.worker != me_) {
-          mine.emplace_back(u.bin, u.worker);
+      }
+      // A bin updated more than once at t (e.g. batches of two plans
+      // flushed at one time) moves once, to the owner its last update at t
+      // names — the owner routing uses from t on.
+      std::vector<std::pair<BinId, uint32_t>> mine;
+      std::vector<bool> seen(routing_.num_bins());
+      for (auto u = it->second.rbegin(); u != it->second.rend(); ++u) {
+        if (seen[u->bin]) continue;
+        seen[u->bin] = true;
+        if (routing_.OwnerBefore(t, u->bin) == me_ && u->worker != me_) {
+          mine.emplace_back(u->bin, u->worker);
         }
       }
+      std::reverse(mine.begin(), mine.end());
       if (mine.empty()) {
         ctx.Release(t);  // nothing for this worker to migrate at t
       } else {
@@ -275,12 +302,13 @@ class ControlState {
 
   /// Migrations whose time has been reached by the S output frontier, in
   /// time order. `ready(t)` decides readiness (probe check); `extract(t,
-  /// bin, target)` uninstalls the bin and returns its chunk frames. The
-  /// frames are *queued*, not sent: FlushChunks drains the queue under a
-  /// per-step byte budget, and the capability at `t` is released only when
-  /// the last frame at `t` has actually been emitted — so the state
-  /// frontier cannot pass `t` while chunks are still in flight, which is
-  /// what makes incremental installation at S safe.
+  /// bin)` uninstalls the bin and returns a cursor over it (null when the
+  /// bin is not resident: nothing moves). No frame is encoded here:
+  /// FlushChunks pulls frames from the queued cursors under a per-step
+  /// byte budget, and the capability at `t` is released only with the
+  /// last frame of the last cursor at `t` — so the state frontier cannot
+  /// pass `t` while chunks are still in flight, which is what makes
+  /// incremental installation at S safe.
   template <typename ReadyFn, typename ExtractFn>
   bool RunReadyMigrations(timely::OpCtx<T>& ctx, ReadyFn ready,
                           ExtractFn extract) {
@@ -291,8 +319,10 @@ class ControlState {
       if (!ready(t)) break;
       size_t before = outgoing_.size();
       for (auto& [bin, target] : it->second) {
-        for (auto& frame : extract(t, bin, target)) {
-          outgoing_.push_back(OutgoingChunk{t, std::move(frame), false});
+        std::unique_ptr<FrameCursor> cursor = extract(t, bin);
+        if (cursor) {
+          outgoing_.push_back(
+              Outgoing{t, target, bin, 0, std::move(cursor), false});
         }
       }
       if (outgoing_.size() == before) {
@@ -306,25 +336,33 @@ class ControlState {
     return any;
   }
 
-  /// Emits queued chunk frames in FIFO order, at most ~`budget_bytes` of
-  /// wire payload per call (0 = unbounded); at least one frame goes out
-  /// whenever any is queued, so progress never stalls on a budget smaller
-  /// than a frame. Called once per worker step, this is the flow control
-  /// that interleaves state movement with data processing.
+  /// Encodes and emits frames from the queued cursors in FIFO order until
+  /// this call has sent `budget_bytes` of section payload (0 =
+  /// unbounded). The budget is counted in the bytes the chunk bound
+  /// counts, and a frame goes out while any budget is left, so a budget of
+  /// k x chunk_bytes sends k full frames — and at least one frame goes out
+  /// whenever any is queued. Called once per worker step, this is the
+  /// flow control that interleaves state movement with data processing;
+  /// no encoded frame is ever held back between calls.
   template <typename SendFn>
   bool FlushChunks(timely::OpCtx<T>& ctx, uint64_t budget_bytes,
                    SendFn send) {
     bool any = false;
     uint64_t sent = 0;
-    while (!outgoing_.empty()) {
-      OutgoingChunk& oc = outgoing_.front();
-      uint64_t size = oc.frame.WireSize();
-      if (any && budget_bytes != 0 && sent + size > budget_bytes) break;
-      T t = oc.t;
-      bool release = oc.release_after;
-      send(t, std::move(oc.frame));
-      outgoing_.pop_front();
-      sent += size;
+    while (!outgoing_.empty() && (budget_bytes == 0 || sent < budget_bytes)) {
+      Outgoing& o = outgoing_.front();
+      Writer w;
+      sent += o.cursor->NextFrame(w);
+      BinChunk frame;
+      frame.target = o.target;
+      frame.bin = o.bin;
+      frame.seq = o.next_seq++;
+      frame.last = o.cursor->done() ? 1 : 0;
+      frame.bytes = w.Take();
+      T t = o.t;
+      bool release = frame.last != 0 && o.release_after;
+      if (frame.last != 0) outgoing_.pop_front();
+      send(t, std::move(frame));
       any = true;
       if (release) ctx.Release(t);
     }
@@ -336,14 +374,18 @@ class ControlState {
   }
   size_t pending_updates() const { return pending_.size(); }
   size_t pending_migrations() const { return migrations_.size(); }
-  size_t queued_chunks() const { return outgoing_.size(); }
+  /// Bins whose frames are not all sent yet.
+  size_t queued_bins() const { return outgoing_.size(); }
 
  private:
-  /// A chunk frame awaiting emission at time t; `release_after` marks the
-  /// final frame of everything migrating at t.
-  struct OutgoingChunk {
+  /// A bin migrating at time t to `target`; `release_after` marks the
+  /// last bin migrating at t.
+  struct Outgoing {
     T t;
-    BinChunk frame;
+    uint32_t target;
+    BinId bin;
+    uint32_t next_seq;
+    std::unique_ptr<FrameCursor> cursor;
     bool release_after;
   };
 
@@ -351,7 +393,7 @@ class ControlState {
   uint32_t me_;
   std::map<T, std::vector<ControlInst>> pending_;
   std::map<T, std::vector<std::pair<BinId, uint32_t>>> migrations_;
-  std::deque<OutgoingChunk> outgoing_;
+  std::deque<Outgoing> outgoing_;
 };
 
 }  // namespace megaphone

@@ -10,11 +10,12 @@
 //     t is executed once the S output frontier reaches t — at that point
 //     every record before t has been applied — by uninstalling the bin
 //     from the co-located S and shipping it at time t on the state
-//     channel. With Config::chunk_bytes set, the bin leaves as a sequence
-//     of size-bounded BinChunk frames metered out across worker steps
-//     under Config::chunk_bytes_per_step (flow control), interleaved with
-//     data processing; F keeps its capability at t until the last frame
-//     has gone out, so the frontier argument is unchanged.
+//     channel. The bin moves into a cursor that encodes its BinChunk
+//     frames only as they are sent; with Config::chunk_bytes set they are
+//     size-bounded and metered out across worker steps under
+//     Config::chunk_bytes_per_step (flow control), interleaved with data
+//     processing. F keeps its capability at t until the last frame has
+//     gone out, so the frontier argument is unchanged.
 //
 //   * S hosts the bins. It installs received state immediately — chunked
 //     state incrementally, frame by frame, through the migratable-state
@@ -86,8 +87,9 @@ struct Config {
   /// worker and wire is bounded by the chunk size, not the bin size.
   uint64_t chunk_bytes = 0;
   /// Per-worker-step budget on chunk payload bytes leaving F — the flow
-  /// control that interleaves state movement with data processing. 0 =
-  /// default 4 * chunk_bytes (unbounded when chunking is off).
+  /// control that interleaves state movement with data processing,
+  /// counted like chunk_bytes, so k * chunk_bytes sends k full frames per
+  /// step. 0 = default 4 * chunk_bytes (unbounded when chunking is off).
   uint64_t chunk_bytes_per_step = 0;
   /// Operator name (diagnostics).
   std::string name = "Stateful";
@@ -309,8 +311,8 @@ void AbsorbChunkFrame(BinsShared<BinT, T>& shared,
   }
 }
 
-/// Emits F's queued chunk frames under the per-step flow-control budget,
-/// counting them into the process-wide chunk counters. Shared by the
+/// Encodes and emits F's queued frames under the per-step flow-control
+/// budget, counting them into the process-wide chunk counters. Shared by the
 /// unary and binary F.
 template <typename T>
 void FlushStateChunks(ControlState<T>& cs, timely::OpCtx<T>& ctx,
@@ -459,18 +461,18 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
 
     // 5. Initiate migrations whose time has been reached by the S output
     //    frontier: every record before that time has been applied. The
-    //    extracted bins become queued chunk frames; the flush below meters
-    //    them onto the state channel under the per-step byte budget, so a
-    //    large bin never stalls a worker step for its full size.
+    //    extracted bins become queued cursors; the flush below encodes
+    //    their frames onto the state channel under the per-step byte
+    //    budget, so a large bin never stalls a worker step for its full
+    //    size.
     fs->cs.RunReadyMigrations(
         ctx,
         [&](const T& t) {
           MEGA_CHECK(probe_slot->valid());
           return !probe_slot->LessThan(t);
         },
-        [&](const T&, BinId b, uint32_t target) {
-          return detail::ExtractBinChunks(*shared, b, target,
-                                          cfg.chunk_bytes);
+        [&](const T&, BinId b) {
+          return detail::ExtractBin(*shared, b, cfg.chunk_bytes);
         });
     detail::FlushStateChunks(fs->cs, ctx, cfg, state_out);
 
@@ -831,9 +833,8 @@ StatefulOutput<R, T> Binary(timely::Stream<ControlInst, T> control,
           MEGA_CHECK(probe_slot->valid());
           return !probe_slot->LessThan(t);
         },
-        [&](const T&, BinId b, uint32_t target) {
-          return detail::ExtractBinChunks(*shared, b, target,
-                                          cfg.chunk_bytes);
+        [&](const T&, BinId b) {
+          return detail::ExtractBin(*shared, b, cfg.chunk_bytes);
         });
     detail::FlushStateChunks(fs->cs, ctx, cfg, state_out);
 

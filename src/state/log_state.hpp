@@ -19,12 +19,13 @@
 // reference returned by operator[] stays valid until the next mutating
 // call on the same container (the fold loops' one-key-at-a-time usage).
 //
-// Migration never materializes the bin: EnumerateChunks merge-iterates
-// the memtable and the index in key order and streams bounded sorted runs
-// straight from the segments (pread per indexed value); AbsorbChunk
-// appends the incoming run directly to a fresh segment on the
-// destination, bypassing the memtable. Whole-value serde is dual-mode:
-// inline (tag 0 — what monolithic migration ships) or, inside a
+// Migration never materializes the bin: the chunk cursor keeps a merge
+// position over the memtable and the index in key order and, one chunk
+// at a time, streams a bounded sorted run straight from the segments
+// (pread per indexed value); AbsorbChunk appends the incoming run
+// directly to a fresh segment on the destination, bypassing the
+// memtable. Migration, monolithic or chunked, always goes through the
+// cursor. Whole-value serde is dual-mode: inline (tag 0) or, inside a
 // CheckpointDirScope, a LogManifest (tag 1) that hard-links/copies the
 // segment files into the checkpoint directory and serializes only the
 // manifest + memtable delta — a checkpoint costs O(delta), not O(state).
@@ -175,22 +176,14 @@ class LogState {
   // --- chunk interface (ChunkableState) --------------------------------
 
   /// Streams the live key range in key order as bounded Encode(k);
-  /// Encode(v) runs, values pread straight from their segments — the bin
-  /// is never materialized. Chunk-cut discipline matches SortedState.
+  /// Encode(v) runs, each value preaded straight from its segment into
+  /// the chunk — the bin is never materialized, and a queued cursor holds
+  /// only its position in the memtable and the index. Chunk-cut
+  /// discipline matches SortedState.
+  class ChunkCursor;  // defined below, after the merge iterator
+
   void EnumerateChunks(size_t max_bytes, const ChunkEmit& emit) const {
-    Writer w;
-    std::vector<uint8_t> vb;
-    ForEachLive([&](const K& k, const V* mv, const ValueLoc* loc) {
-      Encode(w, k);
-      if (mv) {
-        Encode(w, *mv);
-      } else {
-        ReadValueBytes(*loc, &vb);  // already the serde encoding of V
-        w.WriteBytes(vb.data(), vb.size());
-      }
-      if (max_bytes > 0 && w.size() >= max_bytes) emit(w.Take());
-    });
-    if (w.size() > 0) emit(w.Take());
+    EnumerateWithCursor(*this, max_bytes, emit);
   }
 
   /// Appends one incoming sorted run straight to the active segment,
@@ -236,16 +229,9 @@ class LogState {
     uint8_t tag = 0;
     w.WriteBytes(&tag, 1);
     Encode(w, static_cast<uint64_t>(live_));
-    std::vector<uint8_t> vb;
-    ForEachLive([&](const K& k, const V* mv, const ValueLoc* loc) {
-      Encode(w, k);
-      if (mv) {
-        Encode(w, *mv);
-      } else {
-        ReadValueBytes(*loc, &vb);
-        w.WriteBytes(vb.data(), vb.size());
-      }
-    });
+    // The live entries in the chunk encoding, as one unbounded chunk.
+    ChunkCursor c(*this);
+    if (!c.done()) c.Next(0, w);
   }
 
   static LogState Deserialize(Reader& r) {
@@ -333,9 +319,10 @@ class LogState {
   /// Full materialization — test/debug only, O(state).
   std::map<K, V> Snapshot() const {
     std::map<K, V> out;
-    ForEachLive([&](const K& k, const V* mv, const ValueLoc* loc) {
-      out.emplace_hint(out.end(), k, mv ? *mv : LoadValue(*loc));
-    });
+    for (LiveIter it(*this); !it.done(); it.Advance()) {
+      const V* mv = it.mem_value();
+      out.emplace_hint(out.end(), it.key(), mv ? *mv : LoadValue(it.loc()));
+    }
     return out;
   }
 
@@ -540,38 +527,85 @@ class LogState {
 
   /// Merge-iterates memtable and index in key order, the memtable
   /// shadowing the index; tombstones (and the disk entries they shadow)
-  /// are skipped. `fn(key, mem_value_or_null, loc_or_null)` — exactly one
-  /// of the two pointers is non-null.
-  template <typename Fn>
-  void ForEachLive(Fn&& fn) const {
-    auto mi = mem_.begin();
-    auto ii = index_.begin();
-    while (mi != mem_.end() || ii != index_.end()) {
-      bool take_mem;
-      if (mi == mem_.end()) {
-        take_mem = false;
-      } else if (ii == index_.end()) {
-        take_mem = true;
-      } else if (mi->first < ii->first) {
-        take_mem = true;
-      } else if (ii->first < mi->first) {
-        take_mem = false;
-      } else {  // same key: the memtable entry shadows the indexed one
-        if (mi->second.v) fn(mi->first, &*mi->second.v, nullptr);
-        ++mi;
-        ++ii;
-        continue;
-      }
-      if (take_mem) {
-        if (mi->second.v) fn(mi->first, &*mi->second.v, nullptr);
-        ++mi;
+  /// are skipped. The head is always a live entry (or the end), so
+  /// done() is exact — what the chunk cursor's last-frame test needs.
+  class LiveIter {
+   public:
+    explicit LiveIter(const LogState& s)
+        : mi_(s.mem_.begin()), me_(s.mem_.end()), ii_(s.index_.begin()),
+          ie_(s.index_.end()) {
+      Settle();
+    }
+
+    bool done() const { return mi_ == me_ && ii_ == ie_; }
+    const K& key() const { return MemLeads() ? mi_->first : ii_->first; }
+    /// The memtable value at the head, or null when it lives on disk.
+    const V* mem_value() const {
+      return MemLeads() ? &*mi_->second.v : nullptr;
+    }
+    const ValueLoc& loc() const { return ii_->second; }
+
+    void Advance() {
+      if (MemLeads()) {
+        if (Shadows()) ++ii_;
+        ++mi_;
       } else {
-        fn(ii->first, nullptr, &ii->second);
-        ++ii;
+        ++ii_;
+      }
+      Settle();
+    }
+
+   private:
+    bool MemLeads() const {
+      return mi_ != me_ && (ii_ == ie_ || !(ii_->first < mi_->first));
+    }
+    // The memtable head has the same key as the index head.
+    bool Shadows() const {
+      return ii_ != ie_ && !(mi_->first < ii_->first);
+    }
+    // Drops leading tombstones with the disk entries they shadow.
+    void Settle() {
+      while (MemLeads() && !mi_->second.v) {
+        if (Shadows()) ++ii_;
+        ++mi_;
       }
     }
-  }
 
+    typename std::map<K, MemEntry>::const_iterator mi_, me_;
+    typename std::map<K, ValueLoc>::const_iterator ii_, ie_;
+  };
+
+ public:
+  class ChunkCursor {
+   public:
+    explicit ChunkCursor(const LogState& s) : s_(&s), it_(s) {}
+
+    bool done() const { return it_.done(); }
+
+    void Next(size_t max_bytes, Writer& w) {
+      const size_t start = w.size();
+      while (!it_.done()) {
+        Encode(w, it_.key());
+        if (const V* mv = it_.mem_value()) {
+          Encode(w, *mv);
+        } else {
+          // The stored bytes are already the serde encoding of V.
+          const ValueLoc& loc = it_.loc();
+          s_->segs_.at(loc.segment)
+              .file.Pread(loc.off, static_cast<size_t>(loc.len),
+                          w.Extend(static_cast<size_t>(loc.len)));
+        }
+        it_.Advance();
+        if (max_bytes > 0 && w.size() - start >= max_bytes) break;
+      }
+    }
+
+   private:
+    const LogState* s_;
+    LiveIter it_;
+  };
+
+ private:
   void SerializeManifest(Writer& w) const {
     uint8_t tag = 1;
     w.WriteBytes(&tag, 1);

@@ -58,17 +58,9 @@ class MapState {
   }
 
   // Migratable-state chunk interface.
+  using ChunkCursor = EntryRunCursor<MapState>;
   void EnumerateChunks(size_t max_bytes, const ChunkEmit& emit) const {
-    Writer w;
-    for (const auto& [k, v] : map_) {
-      Encode(w, k);
-      Encode(w, v);
-      if (max_bytes != 0 && w.size() >= max_bytes) {
-        emit(w.Take());
-        w = Writer();
-      }
-    }
-    if (w.size() > 0) emit(w.Take());
+    EnumerateWithCursor(*this, max_bytes, emit);
   }
   void AbsorbChunk(Reader& r) {
     while (!r.AtEnd()) {

@@ -5,40 +5,49 @@
 // moving a bin is set by how its state serializes: a monolithic blob
 // stalls the worker and the wire for the whole bin size (the fig. 15
 // large-state spike). A MigratableState instead exposes its content as a
-// stream of size-bounded, independently absorbable chunks, so operator F
-// can ship a bin as many small frames interleaved with data processing and
+// stream of size-bounded, independently absorbable chunks, produced on
+// demand by a resumable cursor, so operator F can encode and ship a bin a
+// few chunks per worker step, interleaved with data processing, and
 // operator S can install it incrementally.
 //
 // A state backend provides:
 //
-//   void Serialize(Writer&) const / static S Deserialize(Reader&)
-//       — whole-value serde, used by the monolithic path (chunking off)
-//         and by tests comparing backends;
-//   void EnumerateChunks(size_t max_bytes, const ChunkEmit& emit) const
-//       — emit the content as payloads of ~max_bytes each, cut only at
-//         entry boundaries (a chunk may exceed max_bytes by one entry);
+//   class ChunkCursor { explicit ChunkCursor(const S&); bool done() const;
+//                       void Next(size_t max_bytes, Writer& w); }
+//       — the extraction position over a state that outlives it. Next
+//         appends the next chunk payload (~max_bytes, cut only at entry
+//         boundaries, so a chunk exceeds the bound by at most one entry;
+//         0 = everything left) to `w`; done() is true once nothing is left.
+//         Migration moves the bin out of the worker and keeps the cursor
+//         next to it until the last chunk has been sent;
 //   void AbsorbChunk(Reader& r)
 //       — install one previously emitted payload (chunks of one
 //         extraction arrive exactly once, in emission order);
 //   void FinishAbsorb()
 //       — called after the last chunk; backends that buffer (BlobState)
-//         decode here, entry-granular backends do nothing.
+//         decode here, entry-granular backends do nothing;
+//   void EnumerateChunks(size_t max_bytes, const ChunkEmit& emit) const
+//       — the cursor run to completion, one payload per chunk (a wrapper
+//         for tests and the per-layer benchmark);
+//   void Serialize(Writer&) const / static S Deserialize(Reader&)
+//       — whole-value serde, used by checkpoints and by tests comparing
+//         backends. Migration never uses it.
 //
 // Backends shipped here: MapState (flat hash map, the current default),
 // SortedState (ordered map migrating as sorted runs), DenseState (dense
-// vector migrating as offset-tagged slices), and BlobState (adapter giving
-// any serde-able type the chunk interface by slicing its encoding).
-// BackendFor<S> picks the backend for a user-declared state type S, so
-// existing operators over std::unordered_map / std::map / std::vector
-// become chunk-aware without source changes.
+// vector migrating as offset-tagged slices, copied in bulk when the value
+// type is raw bytes), LogState (spill-to-disk, streamed from its
+// segments), and BlobState (adapter giving any serde-able type the chunk
+// interface by slicing its encoding). BackendFor<S> picks the backend for
+// a user-declared state type S, so existing operators over
+// std::unordered_map / std::map / std::vector become chunk-aware without
+// source changes.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <map>
-#include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -55,64 +64,69 @@ using ChunkEmit = std::function<void(std::vector<uint8_t>&&)>;
 template <typename S>
 concept ChunkableState =
     Serializable<S> && std::default_initializable<S> &&
-    requires(const S cs, S s, size_t n, const ChunkEmit& emit, Reader& r) {
-      { cs.EnumerateChunks(n, emit) };
+    requires(const S cs, S s, typename S::ChunkCursor c, size_t n, Writer& w,
+             Reader& r) {
+      { typename S::ChunkCursor(cs) };
+      { std::as_const(c).done() } -> std::convertible_to<bool>;
+      { c.Next(n, w) };
       { s.AbsorbChunk(r) };
       { s.FinishAbsorb() };
     };
 
-/// Assembles section-framed chunk payloads: a frame is a sequence of
-/// [u8 tag][u64 len][len bytes] sections, cut into frames of roughly
-/// `max_bytes` (0 = unbounded: everything lands in one frame). Sections
-/// are never split — the slicing helper below bounds section size first —
-/// so a frame exceeds the bound by at most one section.
-class ChunkBuilder {
+/// Runs `s`'s cursor to completion, emitting one payload per chunk: the
+/// body of every backend's EnumerateChunks.
+template <typename S>
+void EnumerateWithCursor(const S& s, size_t max_bytes, const ChunkEmit& emit) {
+  typename S::ChunkCursor c(s);
+  while (!c.done()) {
+    Writer w;
+    c.Next(max_bytes, w);
+    emit(w.Take());
+  }
+}
+
+/// Cursor over a keyed container's (key, value) entries in iteration
+/// order, cut at ~max_bytes: MapState's entry runs and SortedState's
+/// sorted runs. `S::raw()` must outlive the cursor and stay unmodified.
+template <typename S>
+class EntryRunCursor {
  public:
-  ChunkBuilder(size_t max_bytes, std::vector<std::vector<uint8_t>>* out)
-      : max_(max_bytes == 0 ? std::numeric_limits<size_t>::max() : max_bytes),
-        out_(out) {}
+  explicit EntryRunCursor(const S& s)
+      : it_(s.raw().begin()), end_(s.raw().end()) {}
 
-  void AddSection(uint8_t tag, const uint8_t* data, size_t n) {
-    if (w_.size() > 0 && w_.size() + n + kSectionHeader > max_) Cut();
-    w_.WriteBytes(&tag, 1);
-    uint64_t len = n;
-    w_.WriteBytes(&len, sizeof(len));
-    w_.WriteBytes(data, n);
-    if (w_.size() >= max_) Cut();
-  }
-  void AddSection(uint8_t tag, const std::vector<uint8_t>& bytes) {
-    AddSection(tag, bytes.data(), bytes.size());
-  }
+  bool done() const { return it_ == end_; }
 
-  /// Adds an opaque byte stream as a run of sections of at most max_bytes
-  /// each; the absorber reassembles them by concatenation. Empty streams
-  /// add nothing.
-  void AddSectionSliced(uint8_t tag, const std::vector<uint8_t>& bytes) {
-    size_t off = 0;
-    while (off < bytes.size()) {
-      size_t take = std::min(bytes.size() - off, max_);
-      AddSection(tag, bytes.data() + off, take);
-      off += take;
+  void Next(size_t max_bytes, Writer& w) {
+    const size_t start = w.size();
+    while (it_ != end_) {
+      Encode(w, it_->first);
+      Encode(w, it_->second);
+      ++it_;
+      if (max_bytes != 0 && w.size() - start >= max_bytes) break;
     }
   }
-
-  /// Seals the final frame.
-  void Finish() { Cut(); }
-
-  static constexpr size_t kSectionHeader = 1 + sizeof(uint64_t);
 
  private:
-  void Cut() {
-    if (w_.size() > 0) {
-      out_->push_back(w_.Take());
-      w_ = Writer();
-    }
-  }
-
-  size_t max_;
-  std::vector<std::vector<uint8_t>>* out_;
-  Writer w_;
+  typename S::Raw::const_iterator it_, end_;
 };
+
+/// Size of a section header inside a migration frame:
+/// [u8 tag][u64 len] before `len` payload bytes.
+constexpr size_t kSectionHeader = 1 + sizeof(uint64_t);
+
+/// Appends one section whose payload `fill(w)` writes in place; the length
+/// is patched in afterwards. Returns the payload length.
+template <typename Fill>
+size_t AppendSection(Writer& w, uint8_t tag, Fill&& fill) {
+  w.WriteBytes(&tag, 1);
+  const size_t len_at = w.size();
+  uint64_t len = 0;
+  w.WriteBytes(&len, sizeof(len));
+  fill(w);
+  len = w.size() - len_at - sizeof(len);
+  w.Overwrite(len_at, &len, sizeof(len));
+  return static_cast<size_t>(len);
+}
 
 /// Reads the section stream of one frame payload: calls
 /// `on_section(tag, sub_reader)` per section, where the sub-reader covers
@@ -144,16 +158,34 @@ struct BlobState {
     return b;
   }
 
-  void EnumerateChunks(size_t max_bytes, const ChunkEmit& emit) const {
-    std::vector<uint8_t> bytes = EncodeToBytes(value);
-    size_t cap = max_bytes == 0 ? bytes.size() : max_bytes;
-    size_t off = 0;
-    while (off < bytes.size()) {
-      size_t take = std::min(bytes.size() - off, cap);
-      emit(std::vector<uint8_t>(bytes.begin() + static_cast<long>(off),
-                                bytes.begin() + static_cast<long>(off + take)));
-      off += take;
+  /// Slices of the whole-value encoding, which is taken at the first
+  /// Next (so a queued cursor has done no work yet).
+  class ChunkCursor {
+   public:
+    explicit ChunkCursor(const BlobState& b) : b_(&b) {}
+
+    bool done() const { return started_ && off_ >= bytes_.size(); }
+
+    void Next(size_t max_bytes, Writer& w) {
+      if (!started_) {
+        bytes_ = EncodeToBytes(b_->value);
+        started_ = true;
+      }
+      size_t left = bytes_.size() - off_;
+      size_t take = max_bytes == 0 ? left : std::min(left, max_bytes);
+      w.WriteBytes(bytes_.data() + off_, take);
+      off_ += take;
     }
+
+   private:
+    const BlobState* b_;
+    std::vector<uint8_t> bytes_;
+    size_t off_ = 0;
+    bool started_ = false;
+  };
+
+  void EnumerateChunks(size_t max_bytes, const ChunkEmit& emit) const {
+    EnumerateWithCursor(*this, max_bytes, emit);
   }
   void AbsorbChunk(Reader& r) {
     size_t n = r.remaining();

@@ -240,9 +240,12 @@ class SegmentFile {
   /// is torn relative to the index that produced the offset: SerdeError.
   void Pread(uint64_t off, size_t n, std::vector<uint8_t>* out) const {
     out->resize(n);
+    Pread(off, n, out->data());
+  }
+  void Pread(uint64_t off, size_t n, uint8_t* out) const {
     size_t done = 0;
     while (done < n) {
-      ssize_t r = ::pread(fd_, out->data() + done, n - done,
+      ssize_t r = ::pread(fd_, out + done, n - done,
                           static_cast<off_t>(off + done));
       if (r <= 0) throw SerdeError("segment: short read from " + path_);
       done += static_cast<size_t>(r);

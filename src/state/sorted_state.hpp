@@ -62,17 +62,9 @@ class SortedState {
   }
 
   // Migratable-state chunk interface: sorted runs out, hinted ingest in.
+  using ChunkCursor = EntryRunCursor<SortedState>;
   void EnumerateChunks(size_t max_bytes, const ChunkEmit& emit) const {
-    Writer w;
-    for (const auto& [k, v] : map_) {
-      Encode(w, k);
-      Encode(w, v);
-      if (max_bytes != 0 && w.size() >= max_bytes) {
-        emit(w.Take());
-        w = Writer();
-      }
-    }
-    if (w.size() > 0) emit(w.Take());
+    EnumerateWithCursor(*this, max_bytes, emit);
   }
   void AbsorbChunk(Reader& r) {
     while (!r.AtEnd()) {

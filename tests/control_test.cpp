@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "megaphone/control.hpp"
@@ -62,6 +65,40 @@ TEST(RoutingTable, LastUpdateAtSameTimeWins) {
   rt.Apply(10, 2, 0);
   rt.Apply(10, 2, 3);
   EXPECT_EQ(rt.WorkerAt(10, 2), 3u);
+}
+
+// Two plans' batches flushed at one time can update a bin twice at t: the
+// old owner must move it once, to the last-named owner (where routing
+// sends the bin's records from t on), not once per update.
+TEST(ControlState, BinUpdatedTwiceAtOneTimeMovesOnceToItsLastOwner) {
+  timely::OpCtx<uint64_t> ctx(nullptr, "F");
+  ctx.NoteInputTime(0);
+  ControlState<uint64_t> cs(/*num_bins=*/4, /*workers=*/3, /*my_worker=*/0);
+  // Bin 0 starts on worker 0, bin 3 on worker 0 too (bin % 3).
+  std::vector<ControlInst> updates{{0, 1}, {3, 2}, {0, 2}, {3, 0}};
+  cs.Enqueue(ctx, 5, updates);
+  cs.IntegrateFinal(ctx, timely::Antichain<uint64_t>({6}));
+  EXPECT_EQ(cs.routing().WorkerAt(5, 0), 2u);
+  EXPECT_EQ(cs.routing().WorkerAt(5, 3), 0u);
+  // Every resident bin is empty here: one empty final frame each.
+  struct EmptyBin final : FrameCursor {
+    size_t NextFrame(Writer&) override {
+      sent = true;
+      return 0;
+    }
+    bool done() const override { return sent; }
+    bool sent = false;
+  };
+  cs.RunReadyMigrations(
+      ctx, [](const uint64_t&) { return true; },
+      [](const uint64_t&, BinId) { return std::make_unique<EmptyBin>(); });
+  std::vector<std::pair<BinId, uint32_t>> moves;
+  cs.FlushChunks(ctx, 0, [&](const uint64_t&, BinChunk&& c) {
+    moves.emplace_back(c.bin, c.target);
+  });
+  // Bin 0 moves once (to 2); bin 3 ends where it started, so it stays.
+  EXPECT_EQ(moves, (std::vector<std::pair<BinId, uint32_t>>{{0, 2}}));
+  EXPECT_FALSE(ctx.HasCap(5)) << "released with the last frame at t";
 }
 
 TEST(RoutingTable, FlatFastPathDisabledForIncomparableVersionTimes) {

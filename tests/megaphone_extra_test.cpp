@@ -295,6 +295,17 @@ TEST(MegaphoneExtra, GapSlowsBatchIssueRate) {
   EXPECT_GE(completion_epochs[1] - completion_epochs[0], 4u);
 }
 
+// Every frame payload of one cursor, in order.
+std::vector<std::vector<uint8_t>> DrainFrames(FrameCursor& cursor) {
+  std::vector<std::vector<uint8_t>> frames;
+  while (!cursor.done()) {
+    Writer w;
+    cursor.NextFrame(w);
+    frames.push_back(w.Take());
+  }
+  return frames;
+}
+
 TEST(MegaphoneExtra, BinsSharedAccounting) {
   using BinT = Bin<uint64_t, uint64_t, uint64_t>;
   BinsShared<BinT, uint64_t> shared(4);
@@ -308,30 +319,28 @@ TEST(MegaphoneExtra, BinsSharedAccounting) {
   EXPECT_TRUE(shared.RegisterPending(7, 1));   // new time
   EXPECT_FALSE(shared.RegisterPending(7, 3));  // known time, new bin
 
-  // Extracting a bin unregisters its pending times and clears the slot.
+  // Extracting a bin unregisters its pending times and clears the slot;
+  // nothing is encoded until the cursor is asked for a frame.
   // chunk_bytes == 0: the monolithic path, exactly one frame.
-  auto frames = detail::ExtractBinChunks(shared, 1, /*target=*/2,
-                                         /*chunk_bytes=*/0);
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].target, 2u);
-  EXPECT_EQ(frames[0].bin, 1u);
-  EXPECT_EQ(frames[0].seq, 0u);
-  EXPECT_NE(frames[0].last, 0);
+  auto cursor = detail::ExtractBin(shared, 1, /*chunk_bytes=*/0);
+  ASSERT_TRUE(cursor);
   EXPECT_EQ(shared.ResidentBins(), 1u);
   EXPECT_FALSE(shared.bins[1]);
   EXPECT_EQ(shared.pending_bins[7].count(1), 0u);
   EXPECT_EQ(shared.pending_bins[7].count(3), 1u);
+  auto frames = DrainFrames(*cursor);
+  ASSERT_EQ(frames.size(), 1u);
 
   // The shipped bin round-trips with state and pending records.
   BinT back;
-  Reader r(frames[0].bytes);
+  Reader r(frames[0]);
   back.AbsorbChunk(r, /*last=*/true);
   EXPECT_EQ(back.user_state(), 99u);
   ASSERT_EQ(back.pending[7].size(), 1u);
   EXPECT_EQ(back.pending[7][0], 42u);
 
   // Extracting a non-resident bin yields nothing to ship.
-  EXPECT_TRUE(detail::ExtractBinChunks(shared, 0, 2, 0).empty());
+  EXPECT_FALSE(detail::ExtractBin(shared, 0, 0));
 }
 
 TEST(MegaphoneExtra, ChunkedExtractionRebuildsTheSameBin) {
@@ -345,22 +354,18 @@ TEST(MegaphoneExtra, ChunkedExtractionRebuildsTheSameBin) {
   shared.RegisterPending(11, 0);
   shared.RegisterPending(12, 0);
 
-  auto frames = detail::ExtractBinChunks(shared, 0, /*target=*/1,
-                                         /*chunk_bytes=*/256);
+  auto cursor = detail::ExtractBin(shared, 0, /*chunk_bytes=*/256);
+  ASSERT_TRUE(cursor);
+  auto frames = DrainFrames(*cursor);
   ASSERT_GT(frames.size(), 2u) << "500 entries at 256-byte chunks";
-  for (size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_EQ(frames[i].seq, i);
-    EXPECT_EQ(frames[i].last != 0, i + 1 == frames.size());
-    if (i + 1 < frames.size()) {
-      EXPECT_LE(frames[i].bytes.size(),
-                256 + 64u) << "chunk far above the byte bound";
-    }
+  for (size_t i = 0; i + 1 < frames.size(); ++i) {
+    EXPECT_LE(frames[i].size(), 256 + 64u) << "chunk far above the byte bound";
   }
 
   BinT back;
-  for (auto& f : frames) {
-    Reader r(f.bytes);
-    back.AbsorbChunk(r, f.last != 0);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    Reader r(frames[i]);
+    back.AbsorbChunk(r, i + 1 == frames.size());
   }
   EXPECT_EQ(back.user_state().size(), 500u);
   EXPECT_EQ(back.user_state()[123], 369u);

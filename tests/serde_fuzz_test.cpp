@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -22,6 +23,7 @@
 #include "megaphone/control.hpp"
 #include "net/frame.hpp"
 #include "state/checkpoint.hpp"
+#include "state/dense_state.hpp"
 #include "state/log_state.hpp"
 #include "timely/channel.hpp"
 #include "timely/progress.hpp"
@@ -347,6 +349,20 @@ TEST(SerdeFuzz, HistogramRejectsInconsistentEncodings) {
       SerdeError);
 }
 
+// The frame payloads of one bin migration, encoded by its cursor over a
+// copy of `bin`.
+template <typename BinT>
+std::vector<std::vector<uint8_t>> Frames(const BinT& bin, size_t chunk_bytes) {
+  detail::BinCursor<BinT> cursor(std::make_unique<BinT>(bin), chunk_bytes);
+  std::vector<std::vector<uint8_t>> out;
+  while (!cursor.done()) {
+    Writer w;
+    cursor.NextFrame(w);
+    out.push_back(w.Take());
+  }
+  return out;
+}
+
 // Chunked extraction/absorption of a randomized BinaryBin must rebuild an
 // identical bin at every chunk size, and a corrupted chunk payload must
 // fail with SerdeError rather than UB (S decodes chunks from the wire).
@@ -356,8 +372,7 @@ TEST(SerdeFuzz, ChunkedBinaryBinRebuildAndCorruption) {
     auto bin = RandomBinaryBin(rng);
     for (size_t chunk_bytes : {size_t{0}, size_t{1}, size_t{64},
                                size_t{1} << 12}) {
-      std::vector<std::vector<uint8_t>> payloads;
-      bin.DrainChunks(chunk_bytes, payloads);
+      std::vector<std::vector<uint8_t>> payloads = Frames(bin, chunk_bytes);
       WireBinaryBin back;
       for (size_t c = 0; c < payloads.size(); ++c) {
         Reader r(payloads[c]);
@@ -365,9 +380,7 @@ TEST(SerdeFuzz, ChunkedBinaryBinRebuildAndCorruption) {
       }
       ExpectEqual(back, bin);
     }
-    std::vector<std::vector<uint8_t>> payloads;
-    bin.DrainChunks(48, payloads);
-    if (payloads.empty()) continue;  // empty bin: nothing to corrupt
+    std::vector<std::vector<uint8_t>> payloads = Frames(bin, 48);
     auto& bytes = payloads[rng.NextBelow(payloads.size())];
     if (bytes.empty()) continue;
     bytes[rng.NextBelow(bytes.size())] = static_cast<uint8_t>(rng.Next());
@@ -380,6 +393,34 @@ TEST(SerdeFuzz, ChunkedBinaryBinRebuildAndCorruption) {
     } catch (const SerdeError&) {
       // clean failure; fine
     }
+  }
+}
+
+// Every prefix of a dense chunk payload either fails with SerdeError (a
+// torn offset or a torn value) or absorbs as a shorter, valid chunk: a
+// prefix of the values, never a read past the buffer.
+TEST(SerdeFuzz, DenseChunkPrefixTruncation) {
+  Xoshiro256 rng(17);
+  state::DenseState<uint64_t> src;
+  src.resize(40);
+  for (size_t i = 0; i < src.size(); ++i) src[i] = rng.Next();
+  std::vector<std::vector<uint8_t>> chunks;
+  src.EnumerateChunks(0, [&](std::vector<uint8_t>&& c) {
+    chunks.push_back(std::move(c));
+  });
+  ASSERT_EQ(chunks.size(), 1u);
+  const std::vector<uint8_t>& full = chunks[0];
+  for (size_t len = 0; len < full.size(); ++len) {
+    Reader r(full.data(), len);
+    state::DenseState<uint64_t> back;
+    if (len < sizeof(uint64_t) || (len - sizeof(uint64_t)) % 8 != 0) {
+      EXPECT_THROW(back.AbsorbChunk(r), SerdeError) << "len=" << len;
+      continue;
+    }
+    back.AbsorbChunk(r);
+    size_t n = (len - sizeof(uint64_t)) / 8;
+    ASSERT_EQ(back.size(), n) << "len=" << len;
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(back[i], src[i]);
   }
 }
 

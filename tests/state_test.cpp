@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -143,25 +145,99 @@ TEST(BlobState, SlicesAndReassemblesAnySerdeType) {
   }
 }
 
-TEST(ChunkBuilder, SectionsRespectTheFrameBound) {
-  std::vector<std::vector<uint8_t>> frames;
-  ChunkBuilder cb(64, &frames);
-  std::vector<uint8_t> sec(20, 0xab);
-  for (int i = 0; i < 10; ++i) cb.AddSection(1, sec);
-  cb.Finish();
-  ASSERT_GT(frames.size(), 2u);
-  size_t total_sections = 0;
-  for (auto& f : frames) {
-    EXPECT_LE(f.size(), 64 + 20 + ChunkBuilder::kSectionHeader)
-        << "frame far above the bound";
-    Reader r(f);
-    ForEachSection(r, [&](uint8_t tag, Reader& s) {
-      EXPECT_EQ(tag, 1);
-      EXPECT_EQ(s.remaining(), 20u);
-      ++total_sections;
+TEST(Sections, AppendSectionPatchesTheLengthAndReadsBack) {
+  Writer w;
+  std::vector<uint8_t> payload(20, 0xab);
+  for (uint8_t tag = 1; tag <= 3; ++tag) {
+    size_t n = AppendSection(w, tag, [&](Writer& fw) {
+      fw.WriteBytes(payload.data(), payload.size());
     });
+    EXPECT_EQ(n, payload.size());
   }
-  EXPECT_EQ(total_sections, 10u);
+  AppendSection(w, 4, [](Writer&) {});  // empty sections are legal
+  auto bytes = w.Take();
+  EXPECT_EQ(bytes.size(), 3 * (kSectionHeader + 20) + kSectionHeader);
+  Reader r(bytes);
+  std::vector<std::pair<uint8_t, size_t>> seen;
+  ForEachSection(r, [&](uint8_t tag, Reader& sec) {
+    seen.emplace_back(tag, sec.remaining());
+  });
+  EXPECT_EQ(seen, (std::vector<std::pair<uint8_t, size_t>>{
+                      {1, 20}, {2, 20}, {3, 20}, {4, 0}}));
+}
+
+// The bulk path must cut chunks exactly where the per-element loop does
+// ("stop once [u64 offset] + values reaches the bound"), so frames stay
+// byte-identical: 8191 u64 values per 64 KB chunk.
+TEST(DenseState, BulkChunksCutWhereThePerElementLoopCuts) {
+  DenseState<uint64_t> d;
+  d.resize(1 << 16);
+  for (size_t i = 0; i < d.size(); ++i) d[i] = i * 31;
+  for (size_t bound : {size_t{1}, size_t{16}, size_t{17}, size_t{4096},
+                       size_t{65536}}) {
+    std::vector<std::vector<uint8_t>> chunks;
+    d.EnumerateChunks(bound, [&](std::vector<uint8_t>&& c) {
+      chunks.push_back(std::move(c));
+    });
+    // Reference: the per-element rule, spelled out.
+    size_t off = 0;
+    for (const auto& c : chunks) {
+      Writer w;
+      uint64_t off64 = off;
+      w.WriteBytes(&off64, sizeof(off64));
+      while (off < d.size()) {
+        Encode(w, d[off++]);
+        if (w.size() >= bound) break;
+      }
+      EXPECT_EQ(c, w.Take()) << "bound=" << bound;
+    }
+    EXPECT_EQ(off, d.size()) << "bound=" << bound;
+  }
+  std::vector<size_t> sizes;
+  d.EnumerateChunks(65536, [&](std::vector<uint8_t>&& c) {
+    sizes.push_back(c.size());
+    EXPECT_EQ(c.capacity(), c.size()) << "chunk buffer sized to the chunk";
+  });
+  ASSERT_EQ(sizes.size(), 9u);
+  EXPECT_EQ(sizes[0], 8 + 8191 * 8u);
+}
+
+TEST(DenseState, PayloadEndingMidValueIsASerdeError) {
+  DenseState<uint64_t> src;
+  src.resize(10);
+  std::vector<std::vector<uint8_t>> chunks;
+  src.EnumerateChunks(0, [&](std::vector<uint8_t>&& c) {
+    chunks.push_back(std::move(c));
+  });
+  ASSERT_EQ(chunks.size(), 1u);
+  chunks[0].pop_back();  // 8 + 79 bytes: the last value is torn
+  DenseState<uint64_t> out;
+  Reader r(chunks[0]);
+  EXPECT_THROW(out.AbsorbChunk(r), SerdeError);
+}
+
+// Absorb grows capacity in powers of two, as element-wise push_back did;
+// resizing to each chunk's end would leave ~2x the final size reserved.
+TEST(DenseState, AbsorbedCapacityStaysWithinBitCeil) {
+  DenseState<uint64_t> src;
+  src.resize(1 << 16);
+  for (size_t i = 0; i < src.size(); ++i) src[i] = i;
+  DenseState<uint64_t> out = ChunkRoundTrip(src, 65536);
+  EXPECT_EQ(out, src);
+  EXPECT_LE(out.raw().capacity(), std::bit_ceil(out.size()));
+}
+
+// Value types that do not encode as their raw bytes keep the per-element
+// path (std::pair<uint8_t, uint64_t> has padding the encoding omits).
+TEST(DenseState, NonRawValuesRoundTripElementWise) {
+  DenseState<std::pair<uint8_t, uint64_t>> d;
+  d.resize(300);
+  for (size_t i = 0; i < d.size(); ++i) {
+    d[i] = {static_cast<uint8_t>(i), i * 5};
+  }
+  for (size_t bound : {size_t{0}, size_t{1}, size_t{17}, size_t{256}}) {
+    EXPECT_EQ(ChunkRoundTrip(d, bound), d) << "bound=" << bound;
+  }
 }
 
 TEST(BackendSelection, MapsDeclaredTypesToBackends) {

@@ -29,10 +29,12 @@ Three modes, combinable:
       achieved throughput, and asserts the chunked variant's
       per-migration max latency <= max(monolithic * (1 + M),
       monolithic + floor). M defaults to 0.25 and the floor
-      (--max-latency-floor-ms) to 15 ms — noise-safe: on quiet machines
-      chunked sits well below monolithic, and the margin/floor only
-      absorb scheduler jitter on busy CI runners, not a real regression
-      (a regression flips the sign by far more than the floor).
+      (--max-latency-floor-ms) to 8 ms. At the CI sizing both variants
+      sit at 2-9 ms and one migration's max is scheduler noise, so the
+      floor absorbs that jitter; across 26 runs on a 4-vCPU VM the
+      chunked-minus-monolithic difference stayed within +5.5 ms except
+      one run whose steady p99 was itself 8x the norm (a disturbed
+      machine, seen at the same rate before lazy extraction).
 
   --rss-bound FILE
       Spill gate on a fig-25 report (megabench --fig=25): the log-state
@@ -340,9 +342,9 @@ def main() -> None:
     ap.add_argument("--max-latency-margin", type=float, default=0.25,
                     help="chunked may exceed monolithic max latency by "
                          "this fraction (default 0.25)")
-    ap.add_argument("--max-latency-floor-ms", type=float, default=15.0,
+    ap.add_argument("--max-latency-floor-ms", type=float, default=8.0,
                     help="absolute noise headroom added to the bound "
-                         "(default 15 ms)")
+                         "(default 8 ms)")
     ap.add_argument("--rss-bound",
                     help="fig-25 spill-to-disk report to gate")
     ap.add_argument("--recovery",
