@@ -68,8 +68,12 @@ class Writer {
   }
 
   /// Reserves capacity for `n` bytes in total, so a producer that knows
-  /// its exact size allocates once.
-  void Reserve(size_t n) { buf_.reserve(n); }
+  /// its exact size allocates once. Growth is at least geometric, so
+  /// producers reserving one after another into a shared buffer (bins
+  /// packed into one frame) still copy it amortized O(1) times.
+  void Reserve(size_t n) {
+    if (n > buf_.capacity()) buf_.reserve(std::max(n, 2 * buf_.capacity()));
+  }
 
   std::vector<uint8_t> Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }

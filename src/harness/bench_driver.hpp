@@ -283,6 +283,7 @@ inline void RunFig01(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   j.Key("duration_ms").Value(base.duration_ms);
   j.Key("bins").Value(static_cast<uint64_t>(base.num_bins));
   j.Key("migrate_at_ms").Value(migrate_at);
+  j.Key("chunk_bytes").Value(base.chunk_bytes);
   j.EndObject();
 
   struct Variant {

@@ -8,9 +8,11 @@
 // The user state inside a bin sits on the migratable-state layer
 // (src/state/): a backend exposing whole-value serde (checkpoints) *and* a
 // resumable chunk cursor. A migrating bin is moved out of its worker into
-// a BinCursor, which encodes its BinChunk frames one at a time when F's
-// flow control asks for them — many size-bounded frames, or one frame
-// when chunking is off — and the destination absorbs them incrementally.
+// a BinCursor, which encodes the bin's sections only when F's flow control
+// asks for them, filling at most the room the current frame has left. F
+// packs consecutive bins into shared BinChunk frames (control.hpp), so a
+// small bin is one segment of a frame and a large one spans frames; the
+// destination absorbs segments incrementally.
 // Bin and BinaryBin share one serde/chunk implementation
 // (detail::SerializeParts and friends) that is variadic over the pending
 // maps.
@@ -39,9 +41,9 @@ namespace megaphone {
 
 namespace detail {
 
-/// Section tags inside a BinChunk payload (tag 0 is retired: it carried
-/// a whole-bin encoding before monolithic migration became an unbounded
-/// cursor).
+/// Section tags inside one bin's segment of a BinChunk (tag 0 is retired:
+/// it carried a whole-bin encoding before monolithic migration became an
+/// unbounded cursor; kSecSegment in control.hpp frames further segments).
 constexpr uint8_t kSecState = 1;     // one backend state chunk
 constexpr uint8_t kSecPending0 = 2;  // pending map i at tag kSecPending0+i
 
@@ -61,8 +63,8 @@ void DeserializeParts(Reader& r, Backend& backend, Pending&... pending) {
 }
 
 /// Incremental absorption shared by Bin and BinaryBin. Pending-map
-/// sections accumulate into `bufs` (one buffer per map) until the last
-/// frame, whose arrival finalizes the backend and decodes the maps.
+/// sections accumulate into `bufs` (one buffer per map) until the bin's
+/// last segment, whose arrival finalizes the backend and decodes the maps.
 template <size_t N, typename Backend, typename... Pending>
 void AbsorbPartsChunk(Reader& r, bool last,
                       std::array<std::vector<uint8_t>, N>& bufs,
@@ -297,43 +299,41 @@ class BinStashPool {
 
 namespace detail {
 
-/// The frame cursor of one migrating bin. It owns the bin, moved out of
+/// The section cursor of one migrating bin. It owns the bin, moved out of
 /// the worker's container: from the migration time on, routing sends the
-/// bin's records to the new owner, so nothing else touches it. Frames are
-/// cut at `max_bytes` (0 = one frame for the whole bin):
+/// bin's records to the new owner, so nothing else touches it. Each
+/// NextFrame call appends one segment's sections, filling at most the room
+/// it is given (0 = the whole bin):
 ///
-///   * a frame starts with the next state section, a chunk from the
-///     backend's cursor; a section that fills the frame or is not the
-///     backend's last ends the frame;
+///   * the segment starts with the next state section, a chunk from the
+///     backend's cursor bounded by the room; a section that fills the
+///     room or is not the backend's last ends the segment;
 ///   * after the state, each nonempty pending map's encoding follows in
-///     slices of at most `max_bytes`, packed into the frame while they
-///     fit, the frame ending once it reaches the bound;
-///   * an empty bin is one empty final frame, so residency transfers.
+///     slices cut to the room that is left;
+///   * an empty bin is one segment without sections, so residency
+///     transfers.
 template <typename BinT>
 class BinCursor final : public FrameCursor {
  public:
-  BinCursor(std::unique_ptr<BinT> bin, size_t max_bytes)
-      : bin_(std::move(bin)),
-        state_(bin_->state),
-        bound_(max_bytes),
-        max_(max_bytes == 0 ? std::numeric_limits<size_t>::max()
-                            : max_bytes) {}
+  explicit BinCursor(std::unique_ptr<BinT> bin)
+      : bin_(std::move(bin)), state_(bin_->state) {}
 
   bool done() const override { return done_; }
 
-  size_t NextFrame(Writer& w) override {
+  size_t NextFrame(Writer& w, size_t max_bytes) override {
     MEGA_DCHECK(!done_) << "frame requested past the last one";
+    const size_t room =
+        max_bytes == 0 ? std::numeric_limits<size_t>::max() : max_bytes;
     size_t payload = 0;
     if (!state_.done()) {
       payload += state::AppendSection(
-          w, kSecState, [&](Writer& fw) { state_.Next(bound_, fw); });
-      if (!state_.done() || w.size() >= max_) return Finish(payload);
+          w, kSecState, [&](Writer& fw) { state_.Next(max_bytes, fw); });
+      if (!state_.done() || payload >= room) return Finish(payload);
     }
     LoadPending();
-    while (next_ < pending_.size()) {
+    while (next_ < pending_.size() && payload < room) {
       const auto& [tag, bytes] = pending_[next_];
-      size_t n = std::min(bytes.size() - off_, max_);
-      if (w.size() > 0 && w.size() + n + state::kSectionHeader > max_) break;
+      size_t n = std::min(bytes.size() - off_, room - payload);
       payload += state::AppendSection(
           w, tag, [&](Writer& fw) { fw.WriteBytes(bytes.data() + off_, n); });
       off_ += n;
@@ -341,14 +341,13 @@ class BinCursor final : public FrameCursor {
         ++next_;
         off_ = 0;
       }
-      if (w.size() >= max_) break;
     }
     return Finish(payload);
   }
 
  private:
-  // The frame was the last one once the state and every pending section
-  // have been sent.
+  // The segment was the bin's last once the state and every pending
+  // section have been sent.
   size_t Finish(size_t payload) {
     if (state_.done()) LoadPending();
     done_ = state_.done() && next_ == pending_.size();
@@ -372,8 +371,6 @@ class BinCursor final : public FrameCursor {
 
   std::unique_ptr<BinT> bin_;
   typename BinT::Backend::ChunkCursor state_;
-  size_t bound_;  // chunk bound handed to the backend (0 = unbounded)
-  size_t max_;    // frame bound, 0 mapped to "no bound"
   // (tag, encoding) of each nonempty pending map, sent in order from
   // pending_[next_] at byte off_.
   std::vector<std::pair<uint8_t, std::vector<uint8_t>>> pending_;
@@ -385,12 +382,13 @@ class BinCursor final : public FrameCursor {
 
 /// Extracts `bin` from the shared container for migration: unregisters its
 /// pending times, moves the bin out of its slot and returns the cursor
-/// that will frame it (chunks of ~chunk_bytes, 0 = one frame). Nothing is
-/// encoded yet. Returns null for non-resident bins — there is nothing to
-/// move; the target creates the bin lazily.
+/// that will encode it into frames (the frame bound lives in
+/// ControlState::FlushChunks). Nothing is encoded yet. Returns null for
+/// non-resident bins — there is nothing to move; the target creates the
+/// bin lazily.
 template <typename BinT, typename T>
 std::unique_ptr<FrameCursor> ExtractBin(BinsShared<BinT, T>& shared,
-                                        BinId bin, uint64_t chunk_bytes) {
+                                        BinId bin) {
   auto& slot = shared.bins[bin];
   if (!slot) return nullptr;
   slot->ForEachPendingTime([&](const T& t) {
@@ -398,8 +396,7 @@ std::unique_ptr<FrameCursor> ExtractBin(BinsShared<BinT, T>& shared,
     if (it != shared.pending_bins.end()) it->second.erase(bin);
     // Empty sets are left for S to erase and release its capability.
   });
-  return std::make_unique<BinCursor<BinT>>(std::move(slot),
-                                           static_cast<size_t>(chunk_bytes));
+  return std::make_unique<BinCursor<BinT>>(std::move(slot));
 }
 
 }  // namespace detail

@@ -7,11 +7,16 @@
 // control stream's frontier tells F when the configuration at a time can no
 // longer change, and therefore when records at that time may be routed and
 // migrations initiated.
+//
+// It also defines the state channel's frame (BinChunk): the one home of
+// the packed-segment format that F's FlushChunks writes and S's
+// AbsorbChunkFrame (stateful.hpp) reads.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <utility>
@@ -19,6 +24,7 @@
 
 #include "common/check.hpp"
 #include "common/serde.hpp"
+#include "state/migratable.hpp"
 #include "timely/antichain.hpp"
 #include "timely/operator.hpp"
 
@@ -26,17 +32,24 @@ namespace megaphone {
 
 using BinId = uint32_t;
 
-/// A migrating state chunk in flight on the state channel: one
-/// size-bounded frame of a bin's content, tagged with its destination and
-/// its position in the bin's chunk sequence. All frames of one bin
-/// migration travel at the migration time t (the frontier argument is
-/// unchanged: S cannot apply records at ≥ t until F releases t, which
-/// happens only after the last frame left).
+/// A state frame in flight on the state channel: a size-bounded run of
+/// migrating bin content for one destination, tagged with its position in
+/// each bin's chunk sequence. Every frame travels at its migration time t
+/// (the frontier argument is unchanged: S cannot apply records at ≥ t
+/// until F releases t, which happens only with the frame that carries the
+/// last segment at t).
 ///
-/// The payload is a section stream ([u8 tag][u64 len][bytes]...; tags in
+/// A frame holds one or more *segments*, each a consecutive piece of one
+/// bin. The five fields describe the first segment, whose sections open
+/// the payload; each further bin follows as one kSecSegment section (see
+/// AppendSegment / ForEachSegment below). Packing lets many small bins
+/// share a frame, so a migration costs per byte, not per bin. No frame
+/// mixes times or targets.
+///
+/// A segment is a section stream ([u8 tag][u64 len][bytes]...; tags in
 /// bin.hpp): state sections feed the backend's incremental absorb;
-/// pending-map sections are reassembled and decoded at the last frame.
-/// With chunking off the bin is one frame holding every section.
+/// pending-map sections are reassembled and decoded at the bin's last
+/// segment. With chunking off every bin for one target at t is one frame.
 ///
 /// Member serde lets the state channel itself cross process boundaries:
 /// a migration to a worker in another process ships these bytes over the
@@ -45,10 +58,13 @@ struct BinChunk {
   uint32_t target = 0;
   BinId bin = 0;
   uint32_t seq = 0;  // position within the bin's migration, from 0
-  uint8_t last = 1;  // nonzero on the final frame of the bin
+  uint8_t last = 1;  // nonzero on the final segment of the bin
   std::vector<uint8_t> bytes;
 
-  size_t WireSize() const { return bytes.size() + 3 * sizeof(uint32_t) + 1; }
+  /// Encoded size: the four fixed fields plus the length-prefixed bytes.
+  size_t WireSize() const {
+    return 3 * sizeof(uint32_t) + 1 + sizeof(uint64_t) + bytes.size();
+  }
 
   void Serialize(Writer& w) const {
     Encode(w, target);
@@ -69,7 +85,7 @@ struct BinChunk {
 };
 
 /// A bin on its way out of this worker: it owns the moved-out bin and
-/// encodes its frames on demand, so F does per step only the encoding
+/// encodes its sections on demand, so F does per step only the encoding
 /// work that the step's flow-control budget lets it send.
 class FrameCursor {
  public:
@@ -77,13 +93,65 @@ class FrameCursor {
   FrameCursor(const FrameCursor&) = delete;
   FrameCursor& operator=(const FrameCursor&) = delete;
   virtual ~FrameCursor() = default;
-  /// Appends the next frame's payload to `w` and returns the frame's
-  /// section payload bytes — the bytes the chunk bound counts, without
-  /// section and frame headers.
-  virtual size_t NextFrame(Writer& w) = 0;
-  /// True once the final frame has been produced.
+  /// Appends the bin's next sections to `w`, at most `max_bytes` of
+  /// section payload (0 = everything left; a backend may overshoot by one
+  /// entry), and returns that payload — the bytes the chunk bound
+  /// counts, without section and frame headers.
+  virtual size_t NextFrame(Writer& w, size_t max_bytes) = 0;
+  /// True once the bin's final section has been produced.
   virtual bool done() const = 0;
 };
+
+/// Section tag of a further segment in a packed frame, outside the range
+/// of the per-bin section tags (bin.hpp).
+constexpr uint8_t kSecSegment = 0xff;
+
+/// Appends `cursor`'s next sections (at most `max_bytes` of payload, 0 =
+/// all) to the frame in `w` as one further segment:
+/// [kSecSegment][u64 len][u32 bin][u32 seq][u8 last][sections]. Returns
+/// the section payload, as FrameCursor::NextFrame does.
+inline size_t AppendSegment(Writer& w, BinId bin, uint32_t seq,
+                            FrameCursor& cursor, size_t max_bytes) {
+  size_t payload = 0;
+  state::AppendSection(w, kSecSegment, [&](Writer& sw) {
+    Encode(sw, bin);
+    Encode(sw, seq);
+    const size_t last_at = sw.size();
+    Encode(sw, uint8_t{0});
+    payload = cursor.NextFrame(sw, max_bytes);
+    const uint8_t last = cursor.done() ? 1 : 0;
+    sw.Overwrite(last_at, &last, 1);
+  });
+  return payload;
+}
+
+/// Calls `fn(bin, seq, last, sections)` for each segment of `c` in order,
+/// where `sections` reads that segment's section stream. Malformed input
+/// throws SerdeError.
+template <typename Fn>
+void ForEachSegment(const BinChunk& c, Fn fn) {
+  // The first segment's sections run up to the first segment section.
+  Reader scan(c.bytes);
+  size_t first = 0;
+  while (!scan.AtEnd() && c.bytes[first] != kSecSegment) {
+    uint8_t tag;
+    scan.ReadBytes(&tag, 1);
+    scan.Sub(static_cast<size_t>(scan.ReadCount(1)));
+    first = c.bytes.size() - scan.remaining();
+  }
+  Reader head(c.bytes.data(), first);
+  fn(c.bin, c.seq, c.last != 0, head);
+  Reader rest(c.bytes.data() + first, c.bytes.size() - first);
+  state::ForEachSection(rest, [&](uint8_t tag, Reader& seg) {
+    if (tag != kSecSegment) {
+      throw SerdeError("state frame: bin section after a segment");
+    }
+    BinId bin = Decode<BinId>(seg);
+    uint32_t seq = Decode<uint32_t>(seg);
+    uint8_t last = Decode<uint8_t>(seg);
+    fn(bin, seq, last != 0, seg);
+  });
+}
 
 /// One configuration update: bin -> worker, effective at the update's
 /// stream timestamp.
@@ -306,9 +374,10 @@ class ControlState {
   /// bin is not resident: nothing moves). No frame is encoded here:
   /// FlushChunks pulls frames from the queued cursors under a per-step
   /// byte budget, and the capability at `t` is released only with the
-  /// last frame of the last cursor at `t` — so the state frontier cannot
-  /// pass `t` while chunks are still in flight, which is what makes
-  /// incremental installation at S safe.
+  /// frame that carries the last segment at `t` — so the state frontier
+  /// cannot pass `t` while chunks are still in flight, which is what makes
+  /// incremental installation at S safe. The bins at `t` queue grouped by
+  /// target, so that consecutive bins can share frames.
   template <typename ReadyFn, typename ExtractFn>
   bool RunReadyMigrations(timely::OpCtx<T>& ctx, ReadyFn ready,
                           ExtractFn extract) {
@@ -317,6 +386,9 @@ class ControlState {
       auto it = migrations_.begin();
       const T& t = it->first;
       if (!ready(t)) break;
+      std::stable_sort(
+          it->second.begin(), it->second.end(),
+          [](const auto& a, const auto& b) { return a.second < b.second; });
       size_t before = outgoing_.size();
       for (auto& [bin, target] : it->second) {
         std::unique_ptr<FrameCursor> cursor = extract(t, bin);
@@ -338,30 +410,54 @@ class ControlState {
 
   /// Encodes and emits frames from the queued cursors in FIFO order until
   /// this call has sent `budget_bytes` of section payload (0 =
-  /// unbounded). The budget is counted in the bytes the chunk bound
-  /// counts, and a frame goes out while any budget is left, so a budget of
-  /// k x chunk_bytes sends k full frames — and at least one frame goes out
-  /// whenever any is queued. Called once per worker step, this is the
-  /// flow control that interleaves state movement with data processing;
-  /// no encoded frame is ever held back between calls.
+  /// unbounded). A frame holds at most `chunk_bytes` of section payload
+  /// (0 = unbounded; a backend may overshoot by one entry) and packs
+  /// consecutive bins for the same target at the same time: once a bin's
+  /// last segment is in, the next bin continues in the frame's remaining
+  /// room. The budget decides whether a new frame starts, and a started
+  /// frame is filled up to the bound, so a budget of k x chunk_bytes
+  /// sends k full frames — and at least one frame goes out whenever any is
+  /// queued. Called once per worker step, this is the flow control that
+  /// interleaves state movement with data processing; no encoded frame is
+  /// ever held back between calls.
   template <typename SendFn>
-  bool FlushChunks(timely::OpCtx<T>& ctx, uint64_t budget_bytes,
-                   SendFn send) {
+  bool FlushChunks(timely::OpCtx<T>& ctx, uint64_t chunk_bytes,
+                   uint64_t budget_bytes, SendFn send) {
+    const size_t bound = chunk_bytes == 0
+                             ? std::numeric_limits<size_t>::max()
+                             : static_cast<size_t>(chunk_bytes);
     bool any = false;
     uint64_t sent = 0;
     while (!outgoing_.empty() && (budget_bytes == 0 || sent < budget_bytes)) {
-      Outgoing& o = outgoing_.front();
-      Writer w;
-      sent += o.cursor->NextFrame(w);
+      Outgoing* o = &outgoing_.front();
+      const T t = o->t;
       BinChunk frame;
-      frame.target = o.target;
-      frame.bin = o.bin;
-      frame.seq = o.next_seq++;
-      frame.last = o.cursor->done() ? 1 : 0;
+      frame.target = o->target;
+      frame.bin = o->bin;
+      frame.seq = o->next_seq++;
+      Writer w;
+      size_t payload = o->cursor->NextFrame(w, chunk_bytes);
+      frame.last = o->cursor->done() ? 1 : 0;
+      bool release = false;
+      bool packed = false;
+      while (o->cursor->done()) {
+        release = o->release_after;
+        outgoing_.pop_front();
+        if (release || outgoing_.empty() || payload >= bound) break;
+        o = &outgoing_.front();
+        MEGA_DCHECK(o->t == t) << "bins at one time queue together";
+        if (o->target != frame.target) break;
+        if (!packed && chunk_bytes != 0) {
+          // Sized once for the whole frame, headers included: per-segment
+          // reservations would reallocate and copy it on every added bin.
+          w.Reserve(bound + bound / 16);
+        }
+        packed = true;
+        payload += AppendSegment(w, o->bin, o->next_seq++, *o->cursor,
+                                 chunk_bytes == 0 ? 0 : bound - payload);
+      }
       frame.bytes = w.Take();
-      T t = o.t;
-      bool release = frame.last != 0 && o.release_after;
-      if (frame.last != 0) outgoing_.pop_front();
+      sent += payload;
       send(t, std::move(frame));
       any = true;
       if (release) ctx.Release(t);
@@ -379,7 +475,7 @@ class ControlState {
 
  private:
   /// A bin migrating at time t to `target`; `release_after` marks the
-  /// last bin migrating at t.
+  /// last bin migrating at t. `next_seq` numbers the bin's segments.
   struct Outgoing {
     T t;
     uint32_t target;

@@ -10,12 +10,14 @@
 //     t is executed once the S output frontier reaches t — at that point
 //     every record before t has been applied — by uninstalling the bin
 //     from the co-located S and shipping it at time t on the state
-//     channel. The bin moves into a cursor that encodes its BinChunk
-//     frames only as they are sent; with Config::chunk_bytes set they are
-//     size-bounded and metered out across worker steps under
+//     channel. The bin moves into a cursor that encodes its content
+//     only as it is sent, packed with the other bins for the same target
+//     at t into shared BinChunk frames; with Config::chunk_bytes set the
+//     frames are size-bounded and metered out across worker steps under
 //     Config::chunk_bytes_per_step (flow control), interleaved with data
-//     processing. F keeps its capability at t until the last frame has
-//     gone out, so the frontier argument is unchanged.
+//     processing. F keeps its capability at t until the frame carrying
+//     the last segment at t has gone out, so the frontier argument is
+//     unchanged.
 //
 //   * S hosts the bins. It installs received state immediately — chunked
 //     state incrementally, frame by frame, through the migratable-state
@@ -80,11 +82,13 @@ struct Config {
   /// Byte throttle on the state channel, modelling network bandwidth
   /// (0 = unthrottled). See DESIGN.md substitutions.
   uint64_t state_bytes_per_sec = 0;
-  /// Maximum payload bytes per state chunk frame. 0 = monolithic: each
-  /// migrating bin ships as one frame, the pre-chunking behavior. With a
-  /// bound, F ships every bin as a sequence of ~chunk_bytes frames and S
-  /// installs them incrementally (src/state/), so the per-frame stall on
-  /// worker and wire is bounded by the chunk size, not the bin size.
+  /// Maximum section payload bytes per state chunk frame. F packs
+  /// consecutive bins for the same target at the same time into shared
+  /// frames, and a bin larger than the room left spans frames, so a
+  /// migration costs per byte, not per bin. 0 = monolithic: every bin
+  /// for one target at t ships in one frame. With a bound, S installs the
+  /// frames incrementally (src/state/), so the per-frame stall on worker
+  /// and wire is bounded by the chunk size, not the bin size.
   uint64_t chunk_bytes = 0;
   /// Per-worker-step budget on chunk payload bytes leaving F — the flow
   /// control that interleaves state movement with data processing,
@@ -274,7 +278,7 @@ std::optional<T> CompactionHorizon(const timely::Antichain<T>& a,
 }
 
 /// One bin mid-absorption at S: the partially installed bin plus the next
-/// expected chunk sequence number (frames of one migration arrive in
+/// expected segment sequence number (segments of one migration arrive in
 /// order on the FIFO state channel).
 template <typename BinT>
 struct AbsorbingBin {
@@ -282,33 +286,49 @@ struct AbsorbingBin {
   uint32_t next_seq = 0;
 };
 
-/// Installs one received chunk frame into the partial-bin set, finalizing
-/// residency — and registering the bin's pending times through `hold` —
-/// at the last frame. Shared by the unary and binary S.
+/// Installs every bin segment of one received frame, in order, into the
+/// partial-bin set, finalizing residency — and registering the bin's
+/// pending times through `hold` — at each bin's last segment. A bin that
+/// arrives whole (one segment with seq 0 and last set) installs directly.
+/// The frame is wire input: any inconsistency throws SerdeError. Shared by
+/// the unary and binary S.
 template <typename BinT, typename T, typename HoldFn>
 void AbsorbChunkFrame(BinsShared<BinT, T>& shared,
                       std::map<BinId, AbsorbingBin<BinT>>& absorbing,
-                      BinChunk& m, uint32_t worker, HoldFn hold) {
-  MEGA_CHECK_EQ(m.target, worker);
-  auto& ab = absorbing[m.bin];
-  if (!ab.bin) {
-    MEGA_CHECK(!shared.bins[m.bin])
-        << "received state for an already-resident bin";
-    ab.bin = std::make_unique<BinT>();
-    ab.next_seq = 0;
-  }
-  MEGA_CHECK_EQ(m.seq, ab.next_seq) << "state chunk out of order";
-  ab.next_seq++;
-  Reader r(m.bytes);
-  ab.bin->AbsorbChunk(r, m.last != 0);
-  if (m.last != 0) {
-    ab.bin->ForEachPendingTime([&](const T& tp) {
-      shared.RegisterPending(tp, m.bin);
+                      const BinChunk& m, uint32_t worker, HoldFn hold) {
+  if (m.target != worker) throw SerdeError("state frame: wrong target");
+  ForEachSegment(m, [&](BinId bin, uint32_t seq, bool last, Reader& r) {
+    if (bin >= shared.bins.size()) {
+      throw SerdeError("state frame: bin id out of range");
+    }
+    if (shared.bins[bin]) {
+      throw SerdeError("state frame: state for an already-resident bin");
+    }
+    auto it = absorbing.find(bin);
+    if (seq != (it == absorbing.end() ? 0u : it->second.next_seq)) {
+      throw SerdeError("state frame: segment out of order");
+    }
+    std::unique_ptr<BinT> whole;
+    if (it == absorbing.end() && last) {
+      whole = std::make_unique<BinT>();
+      whole->AbsorbChunk(r, true);
+    } else {
+      if (it == absorbing.end()) {
+        it = absorbing.emplace(bin, AbsorbingBin<BinT>{}).first;
+        it->second.bin = std::make_unique<BinT>();
+      }
+      it->second.next_seq++;
+      it->second.bin->AbsorbChunk(r, last);
+      if (!last) return;
+      whole = std::move(it->second.bin);
+      absorbing.erase(it);
+    }
+    whole->ForEachPendingTime([&](const T& tp) {
+      shared.RegisterPending(tp, bin);
       hold(tp);
     });
-    shared.bins[m.bin] = std::move(ab.bin);
-    absorbing.erase(m.bin);
-  }
+    shared.bins[bin] = std::move(whole);
+  });
 }
 
 /// Encodes and emits F's queued frames under the per-step flow-control
@@ -318,7 +338,7 @@ template <typename T>
 void FlushStateChunks(ControlState<T>& cs, timely::OpCtx<T>& ctx,
                       const Config& cfg,
                       timely::OutputHandle<BinChunk, T>* state_out) {
-  cs.FlushChunks(ctx, cfg.ChunkStepBudget(),
+  cs.FlushChunks(ctx, cfg.chunk_bytes, cfg.ChunkStepBudget(),
                  [&](const T& t, BinChunk&& frame) {
                    chunk_counters().frames.fetch_add(
                        1, std::memory_order_relaxed);
@@ -472,7 +492,7 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
           return !probe_slot->LessThan(t);
         },
         [&](const T&, BinId b) {
-          return detail::ExtractBin(*shared, b, cfg.chunk_bytes);
+          return detail::ExtractBin(*shared, b);
         });
     detail::FlushStateChunks(fs->cs, ctx, cfg, state_out);
 
@@ -834,7 +854,7 @@ StatefulOutput<R, T> Binary(timely::Stream<ControlInst, T> control,
           return !probe_slot->LessThan(t);
         },
         [&](const T&, BinId b) {
-          return detail::ExtractBin(*shared, b, cfg.chunk_bytes);
+          return detail::ExtractBin(*shared, b);
         });
     detail::FlushStateChunks(fs->cs, ctx, cfg, state_out);
 

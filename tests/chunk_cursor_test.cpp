@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -63,14 +64,47 @@ constexpr size_t kChunk = 65536;
 constexpr size_t kValues = 1 << 16;  // 512 KB: 8 full 64 KB chunks + a tail
 constexpr size_t kFramesPerBin = 9;
 
+/// Worker 0 of `workers` migrates its resident bins at planned times;
+/// frames are cut at `chunk` bytes of section payload.
+template <typename BinT>
+struct Migration {
+  Migration(uint32_t num_bins, uint32_t workers, size_t chunk)
+      : shared(num_bins), cs(num_bins, workers, 0), chunk(chunk) {
+    ctx.NoteInputTime(0);
+  }
+
+  BinsShared<BinT, uint64_t> shared;
+  ControlState<uint64_t> cs;
+  OpCtx<uint64_t> ctx{nullptr, "F"};
+  size_t chunk;
+
+  /// Moves each (bin, target) at time `t`; the bins must be resident.
+  void Plan(uint64_t t, std::vector<ControlInst> moves) {
+    cs.Enqueue(ctx, t, moves);
+  }
+
+  void Start(uint64_t frontier) {
+    cs.IntegrateFinal(ctx, Antichain<uint64_t>({frontier}));
+    cs.RunReadyMigrations(
+        ctx, [](const uint64_t&) { return true; },
+        [&](const uint64_t&, BinId b) {
+          return detail::ExtractBin(shared, b);
+        });
+  }
+
+  std::vector<std::pair<uint64_t, BinChunk>> Flush(uint64_t budget) {
+    std::vector<std::pair<uint64_t, BinChunk>> sent;
+    cs.FlushChunks(ctx, chunk, budget, [&](const uint64_t& t, BinChunk&& c) {
+      sent.emplace_back(t, std::move(c));
+    });
+    return sent;
+  }
+};
+
 /// Worker 0 of 2 owns the even bins of 4; `bins` of them, each holding
 /// kValues counts, migrate to worker 1 at time `t`.
-struct MigrationFixture {
-  BinsShared<CountedBin, uint64_t> shared{4};
-  ControlState<uint64_t> cs{4, 2, 0};
-  OpCtx<uint64_t> ctx{nullptr, "F"};
-
-  MigrationFixture() { ctx.NoteInputTime(0); }
+struct MigrationFixture : Migration<CountedBin> {
+  MigrationFixture() : Migration(4, 2, kChunk) {}
 
   void Plan(uint64_t t, std::vector<BinId> bins) {
     std::vector<ControlInst> updates;
@@ -80,24 +114,48 @@ struct MigrationFixture {
       shared.bins[b]->state.d.resize(kValues);
       for (size_t i = 0; i < kValues; ++i) shared.bins[b]->state.d[i] = i + b;
     }
-    cs.Enqueue(ctx, t, updates);
+    Migration::Plan(t, updates);
   }
+};
 
-  void Start(uint64_t frontier) {
-    cs.IntegrateFinal(ctx, Antichain<uint64_t>({frontier}));
-    cs.RunReadyMigrations(
-        ctx, [](const uint64_t&) { return true; },
-        [&](const uint64_t&, BinId b) {
-          return detail::ExtractBin(shared, b, kChunk);
-        });
-  }
+/// The bin segments of one frame, as (bin, seq, last).
+struct SegmentInfo {
+  BinId bin;
+  uint32_t seq;
+  bool last;
+  friend bool operator==(const SegmentInfo&, const SegmentInfo&) = default;
+};
+std::vector<SegmentInfo> Segments(const BinChunk& c) {
+  std::vector<SegmentInfo> out;
+  ForEachSegment(c, [&](BinId bin, uint32_t seq, bool last, Reader&) {
+    out.push_back({bin, seq, last});
+  });
+  return out;
+}
 
-  std::vector<std::pair<uint64_t, BinChunk>> Flush(uint64_t budget) {
-    std::vector<std::pair<uint64_t, BinChunk>> sent;
-    cs.FlushChunks(ctx, budget, [&](const uint64_t& t, BinChunk&& c) {
-      sent.emplace_back(t, std::move(c));
-    });
-    return sent;
+/// The section payload of one frame: the bytes the chunk bound counts.
+size_t SectionPayload(const BinChunk& c) {
+  size_t n = 0;
+  ForEachSegment(c, [&](BinId, uint32_t, bool, Reader& r) {
+    state::ForEachSection(r,
+                          [&](uint8_t, Reader& sec) { n += sec.remaining(); });
+  });
+  return n;
+}
+
+/// Worker 1, the destination: absorbs frames through S's frame-absorb
+/// path.
+template <typename BinT>
+struct Destination {
+  explicit Destination(uint32_t num_bins) : shared(num_bins) {}
+
+  BinsShared<BinT, uint64_t> shared;
+  std::map<BinId, detail::AbsorbingBin<BinT>> absorbing;
+  std::set<uint64_t> held;
+
+  void Absorb(const BinChunk& c) {
+    detail::AbsorbChunkFrame(shared, absorbing, c, 1,
+                             [&](const uint64_t& t) { held.insert(t); });
   }
 };
 
@@ -113,20 +171,26 @@ TEST(ChunkCursor, NothingIsEncodedBeforeTheFlush) {
   EXPECT_TRUE(f.ctx.HasCap(5)) << "t is held while frames are pending";
 }
 
+// Each chunk the flush encodes goes out in that flush: the encoded chunks
+// equal the bin segments sent. Two 512 KB bins at one t pack into 17
+// frames: the second bin starts in the tail of the first bin's last frame.
 TEST(ChunkCursor, EachFlushEncodesOnlyWhatItSends) {
   MigrationFixture f;
   f.Plan(5, {0, 2});
   CountedState::encoded = 0;
   f.Start(6);
-  size_t sent = 0;
+  size_t frames = 0;
+  size_t segments = 0;
   for (int step = 0; f.cs.queued_bins() > 0; ++step) {
     ASSERT_LT(step, 100);
-    sent += f.Flush(2 * kChunk).size();
-    // At most one frame encoded and not yet sent (here: none).
-    EXPECT_LE(CountedState::encoded, sent + 1);
-    EXPECT_GE(CountedState::encoded, sent);
+    for (const auto& [t, c] : f.Flush(2 * kChunk)) {
+      ++frames;
+      segments += Segments(c).size();
+    }
+    EXPECT_EQ(CountedState::encoded, segments);
   }
-  EXPECT_EQ(sent, 2 * kFramesPerBin);
+  EXPECT_EQ(frames, 2 * kFramesPerBin - 1);
+  EXPECT_EQ(segments, 2 * kFramesPerBin);
 }
 
 // k x chunk_bytes of budget sends k full frames per step; the default
@@ -178,31 +242,205 @@ TEST(ChunkCursor, NonResidentBinsReleaseTheirTimeAtOnce) {
   EXPECT_TRUE(f.Flush(0).empty());
 }
 
-// Frames carry their bin, target and sequence, and the last flag is set on
-// exactly the final frame of each bin.
+// Frames carry their first segment's bin, target and sequence, and the
+// last flag is set on exactly the final segment of each bin: bin 0's
+// ninth frame carries its tail plus bin 2's first segment, and bin 2
+// continues at seq 1.
 TEST(ChunkCursor, FramesAreSequencedPerBin) {
   MigrationFixture f;
   f.Plan(5, {0, 2});
   f.Start(6);
-  auto sent = f.Flush(0);  // unbounded: everything in one step
-  ASSERT_EQ(sent.size(), 2 * kFramesPerBin);
+  auto sent = f.Flush(0);  // unbounded budget: everything in one step
+  ASSERT_EQ(sent.size(), 2 * kFramesPerBin - 1);
   for (size_t i = 0; i < sent.size(); ++i) {
     const BinChunk& c = sent[i].second;
-    EXPECT_EQ(c.bin, i < kFramesPerBin ? 0u : 2u);
+    const bool second_bin = i >= kFramesPerBin;
+    EXPECT_EQ(c.bin, second_bin ? 2u : 0u);
     EXPECT_EQ(c.target, 1u);
-    EXPECT_EQ(c.seq, i % kFramesPerBin);
-    EXPECT_EQ(c.last != 0, i % kFramesPerBin == kFramesPerBin - 1);
+    EXPECT_EQ(c.seq, second_bin ? i - kFramesPerBin + 1 : i);
+    EXPECT_EQ(c.last != 0, i == kFramesPerBin - 1 || i + 1 == sent.size());
+    std::vector<SegmentInfo> segs = Segments(c);
+    if (i == kFramesPerBin - 1) {
+      EXPECT_EQ(segs, (std::vector<SegmentInfo>{{0, 8, true}, {2, 0, false}}));
+    } else {
+      EXPECT_EQ(segs.size(), 1u);
+    }
   }
   EXPECT_FALSE(f.ctx.HasCap(5));
 }
 
+// ------------------------------------------------------------ packing
+
+using SmallBin = Bin<state::DenseState<uint64_t>, uint64_t, uint64_t>;
+
+/// Makes `bin` resident with `values` counts.
+void MakeDense(BinsShared<SmallBin, uint64_t>& shared, BinId bin,
+               size_t values) {
+  shared.bins[bin] = std::make_unique<SmallBin>();
+  shared.bins[bin]->state.resize(values);
+  for (size_t i = 0; i < values; ++i) shared.bins[bin]->state[i] = i * bin;
+}
+
+// N small bins to one target pack into ceil(payload / chunk_bytes)
+// frames, and no frame's section payload exceeds the bound by more than
+// the backend's one-element overshoot.
+TEST(ChunkCursor, SmallBinsPackIntoFullFrames) {
+  for (size_t chunk : {size_t{4096}, size_t{65536}}) {
+    SCOPED_TRACE("chunk=" + std::to_string(chunk));
+    Migration<SmallBin> f(256, 2, chunk);
+    std::vector<ControlInst> moves;
+    for (BinId b = 0; b < 256; b += 2) {
+      MakeDense(f.shared, b, 256);  // 2 KB: one 2,056-byte state section
+      moves.push_back({b, 1});
+    }
+    f.Plan(5, moves);
+    f.Start(6);
+    auto sent = f.Flush(0);
+    const size_t payload = 128 * (sizeof(uint64_t) + 256 * sizeof(uint64_t));
+    EXPECT_EQ(sent.size(), (payload + chunk - 1) / chunk);
+    size_t total = 0;
+    size_t segments = 0;
+    for (const auto& [t, c] : sent) {
+      const size_t p = SectionPayload(c);
+      EXPECT_LE(p, chunk + sizeof(uint64_t)) << "past one value's overshoot";
+      total += p;
+      segments += Segments(c).size();
+    }
+    // Each segment's state section carries its own u64 offset.
+    EXPECT_EQ(total, 128 * 256 * sizeof(uint64_t) + segments * 8);
+    Destination<SmallBin> d(256);
+    for (const auto& [t, c] : sent) d.Absorb(c);
+    EXPECT_EQ(d.shared.ResidentBins(), 128u);
+    EXPECT_TRUE(d.absorbing.empty());
+    EXPECT_EQ(d.shared.bins[254]->state[3], 3u * 254);
+  }
+}
+
+// Bins for different targets, or at different times, never share a frame.
+TEST(ChunkCursor, FramesNeverMixTargetsOrTimes) {
+  Migration<SmallBin> f(32, 3, 4096);
+  // Worker 0 of 3 owns bins 0, 3, 6, ...; interleave the targets.
+  std::map<std::pair<uint64_t, BinId>, uint32_t> target_of;
+  for (uint64_t t : {uint64_t{5}, uint64_t{7}}) {
+    std::vector<ControlInst> moves;
+    for (BinId b = t == 5 ? 0 : 12; b < (t == 5 ? 12u : 24u); b += 3) {
+      MakeDense(f.shared, b, 100);
+      const uint32_t target = 1 + (b / 3) % 2;
+      moves.push_back({b, target});
+      target_of[{t, b}] = target;
+    }
+    f.Plan(t, moves);
+  }
+  f.Start(8);
+  auto sent = f.Flush(0);
+  // One frame per (time, target): each holds 2 bins of 808 payload bytes.
+  EXPECT_EQ(sent.size(), 4u);
+  for (const auto& [t, c] : sent) {
+    for (const SegmentInfo& seg : Segments(c)) {
+      auto it = target_of.find({t, seg.bin});
+      ASSERT_NE(it, target_of.end()) << "bin " << seg.bin;
+      EXPECT_EQ(it->second, c.target) << "bin " << seg.bin;
+    }
+  }
+}
+
+// The capability at t goes with the frame that carries the last segment
+// at t: three 2 KB bins at one 4 KB bound take two frames, and t is held
+// until the second has gone out.
+TEST(ChunkCursor, CapabilityGoesWithTheFrameOfTheLastSegmentAtT) {
+  Migration<SmallBin> f(16, 2, 4096);
+  for (BinId b : {0u, 2u, 4u, 6u}) MakeDense(f.shared, b, 256);
+  f.Plan(5, {{0, 1}, {2, 1}, {4, 1}});
+  f.Plan(7, {{6, 1}});
+  f.Start(8);
+  std::vector<std::pair<uint64_t, BinChunk>> sent;
+  while (f.cs.queued_bins() > 0) {
+    auto step = f.Flush(1);  // one frame per step
+    ASSERT_EQ(step.size(), 1u);
+    sent.push_back(std::move(step[0]));
+    EXPECT_EQ(f.ctx.HasCap(5), sent.size() < 2) << "frame " << sent.size();
+    EXPECT_EQ(f.ctx.HasCap(7), sent.size() < 3) << "frame " << sent.size();
+  }
+  ASSERT_EQ(sent.size(), 3u);
+  EXPECT_EQ(Segments(sent[1].second).back(), (SegmentInfo{4u, 0u, true}));
+  EXPECT_EQ(sent[2].first, 7u);
+}
+
+// Empty bins pack as segments without sections and still become resident
+// at the destination.
+TEST(ChunkCursor, PackedEmptyBinsBecomeResident) {
+  Migration<SmallBin> f(16, 2, 4096);
+  std::vector<ControlInst> moves;
+  for (BinId b = 0; b < 16; b += 2) {
+    f.shared.bins[b] = std::make_unique<SmallBin>();
+    moves.push_back({b, 1});
+  }
+  f.Plan(5, moves);
+  f.Start(6);
+  auto sent = f.Flush(0);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_EQ(Segments(sent[0].second).size(), 8u);
+  Destination<SmallBin> d(16);
+  d.Absorb(sent[0].second);
+  EXPECT_EQ(d.shared.ResidentBins(), 8u);
+  for (BinId b = 0; b < 16; b += 2) EXPECT_TRUE(d.shared.bins[b]);
+  EXPECT_TRUE(d.absorbing.empty());
+}
+
+// A bin that starts in a frame's tail continues with seq 1 as the next
+// frame's first segment.
+TEST(ChunkCursor, BinStartedInATailContinuesAtSeqOne) {
+  Migration<SmallBin> f(4, 2, 4096);
+  MakeDense(f.shared, 0, 256);  // 2,056 bytes: leaves 2,040 of room
+  MakeDense(f.shared, 2, 400);  // 3,208 bytes: starts in that room
+  f.Plan(5, {{0, 1}, {2, 1}});
+  f.Start(6);
+  auto sent = f.Flush(0);
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(Segments(sent[0].second),
+            (std::vector<SegmentInfo>{{0, 0, true}, {2, 0, false}}));
+  const BinChunk& next = sent[1].second;
+  EXPECT_EQ(next.bin, 2u);
+  EXPECT_EQ(next.seq, 1u);
+  EXPECT_NE(next.last, 0);
+  EXPECT_EQ(Segments(next).size(), 1u);
+  Destination<SmallBin> d(4);
+  d.Absorb(sent[0].second);
+  EXPECT_EQ(d.absorbing.count(2), 1u) << "bin 2 is still arriving";
+  d.Absorb(next);
+  ASSERT_TRUE(d.shared.bins[2]);
+  ASSERT_EQ(d.shared.bins[2]->state.size(), 400u);
+  for (size_t i = 0; i < 400; ++i) EXPECT_EQ(d.shared.bins[2]->state[i], 2 * i);
+}
+
+// WireSize is the encoded size: four fixed fields and a length-prefixed
+// payload, for empty, tiny, full and packed frames.
+TEST(ChunkCursor, WireSizeIsTheEncodedSize) {
+  std::vector<BinChunk> frames(3);
+  frames[1].bytes.assign(1, 7);
+  frames[2].bytes.assign(kChunk, 9);
+  Migration<SmallBin> f(8, 2, 4096);
+  for (BinId b : {0u, 2u, 4u}) MakeDense(f.shared, b, 64);
+  f.Plan(5, {{0, 1}, {2, 1}, {4, 1}});
+  f.Start(6);
+  auto sent = f.Flush(0);
+  ASSERT_EQ(sent.size(), 1u);
+  ASSERT_EQ(Segments(sent[0].second).size(), 3u);
+  frames.push_back(sent[0].second);
+  for (const BinChunk& c : frames) {
+    EXPECT_EQ(c.WireSize(), EncodeToBytes(c).size())
+        << c.bytes.size() << " payload bytes";
+  }
+}
+
 // ------------------------------------------------------------ round trips
 
-std::vector<std::vector<uint8_t>> DrainFrames(FrameCursor& cursor) {
+std::vector<std::vector<uint8_t>> DrainFrames(FrameCursor& cursor,
+                                              size_t bound) {
   std::vector<std::vector<uint8_t>> frames;
   while (!cursor.done()) {
     Writer w;
-    cursor.NextFrame(w);
+    cursor.NextFrame(w, bound);
     frames.push_back(w.Take());
   }
   return frames;
@@ -295,12 +533,12 @@ void RoundTripAtEveryBound() {
     FillBin(*shared.bins[1], 99);
     shared.bins[1]->ForEachPendingTime(
         [&](const uint64_t& t) { shared.RegisterPending(t, 1); });
-    auto cursor = detail::ExtractBin(shared, 1, bound);
+    auto cursor = detail::ExtractBin(shared, 1);
     ASSERT_TRUE(cursor);
     for (const auto& [t, bins] : shared.pending_bins) {
       EXPECT_EQ(bins.count(1), 0u) << "pending time " << t << " still held";
     }
-    auto frames = DrainFrames(*cursor);
+    auto frames = DrainFrames(*cursor, bound);
     if (bound == 0) {
       EXPECT_EQ(frames.size(), 1u);
     } else if (bound == 1) {
@@ -344,16 +582,62 @@ TEST(ChunkCursor, BlobBinsRoundTrip) {
   RoundTripAtEveryBound<PairBin<BlobValue>>();
 }
 
+// Several binary bins with post-dated pending records, packed into
+// shared frames and absorbed through S's frame-absorb path, arrive intact
+// with their pending times registered, at every bound.
+template <typename BinT>
+void PackedRoundTripAtEveryBound() {
+  for (size_t bound : {size_t{0}, size_t{17}, size_t{4096}, size_t{65536}}) {
+    SCOPED_TRACE("bound=" + std::to_string(bound));
+    Migration<BinT> f(16, 2, bound);
+    std::vector<ControlInst> moves;
+    for (BinId b = 0; b < 16; b += 2) {
+      f.shared.bins[b] = std::make_unique<BinT>();
+      FillBin(*f.shared.bins[b], 100 + b);
+      f.shared.bins[b]->ForEachPendingTime(
+          [&](const uint64_t& t) { f.shared.RegisterPending(t, b); });
+      moves.push_back({b, 1});
+    }
+    f.Plan(5, moves);
+    f.Start(6);
+    auto sent = f.Flush(0);
+    if (bound == 0) {
+      EXPECT_EQ(sent.size(), 1u) << "monolithic: one frame";
+    } else if (bound == 65536) {
+      EXPECT_LT(sent.size(), 8u) << "bins share frames";
+    }
+    Destination<BinT> d(16);
+    for (const auto& [t, c] : sent) d.Absorb(c);
+    EXPECT_TRUE(d.absorbing.empty());
+    EXPECT_EQ(d.held, (std::set<uint64_t>{10, 11, 12, 13, 14}));
+    for (BinId b = 0; b < 16; b += 2) {
+      ASSERT_TRUE(d.shared.bins[b]) << "bin " << b;
+      BinT ref;
+      FillBin(ref, 100 + b);
+      EXPECT_EQ(Contents(d.shared.bins[b]->state), Contents(ref.state));
+      ExpectSamePending(*d.shared.bins[b], ref);
+      EXPECT_EQ(d.shared.pending_bins[10].count(b), 1u);
+    }
+  }
+}
+
+TEST(ChunkCursor, PackedBinaryBinsRoundTrip) {
+  PackedRoundTripAtEveryBound<PairBin<state::DenseState<uint64_t>>>();
+  PackedRoundTripAtEveryBound<
+      PairBin<state::MapState<uint64_t, std::string>>>();
+  PackedRoundTripAtEveryBound<PairBin<BlobValue>>();
+}
+
 TEST(ChunkCursor, EmptyResidentBinYieldsOneFinalFrame) {
   using BinT = UnaryBin<std::unordered_map<uint64_t, uint64_t>>;
   BinsShared<BinT, uint64_t> shared(2);
   shared.bins[0] = std::make_unique<BinT>();
-  auto cursor = detail::ExtractBin(shared, 0, 64);
+  auto cursor = detail::ExtractBin(shared, 0);
   ASSERT_TRUE(cursor);
-  EXPECT_EQ(DrainFrames(*cursor),
+  EXPECT_EQ(DrainFrames(*cursor, 64),
             (std::vector<std::vector<uint8_t>>{std::vector<uint8_t>{}}));
   EXPECT_EQ(shared.ResidentBins(), 0u);
-  EXPECT_FALSE(detail::ExtractBin(shared, 1, 64)) << "non-resident bin";
+  EXPECT_FALSE(detail::ExtractBin(shared, 1)) << "non-resident bin";
 }
 
 // A monolithic migration of a LogState bin inside a checkpoint scope
@@ -372,8 +656,8 @@ TEST(ChunkCursor, MonolithicLogBinShipsBytesUnderACheckpointScope) {
     BinsShared<BinT, uint64_t> shared(1);
     shared.bins[0] = std::make_unique<BinT>();
     FillBin(*shared.bins[0], 7);
-    auto cursor = detail::ExtractBin(shared, 0, /*chunk_bytes=*/0);
-    frames = DrainFrames(*cursor);
+    auto cursor = detail::ExtractBin(shared, 0);
+    frames = DrainFrames(*cursor, /*bound=*/0);
   }
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_TRUE(fs::is_empty(root / "ckpt")) << "migration wrote a checkpoint";

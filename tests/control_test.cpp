@@ -82,7 +82,7 @@ TEST(ControlState, BinUpdatedTwiceAtOneTimeMovesOnceToItsLastOwner) {
   EXPECT_EQ(cs.routing().WorkerAt(5, 3), 0u);
   // Every resident bin is empty here: one empty final frame each.
   struct EmptyBin final : FrameCursor {
-    size_t NextFrame(Writer&) override {
+    size_t NextFrame(Writer&, size_t) override {
       sent = true;
       return 0;
     }
@@ -93,8 +93,10 @@ TEST(ControlState, BinUpdatedTwiceAtOneTimeMovesOnceToItsLastOwner) {
       ctx, [](const uint64_t&) { return true; },
       [](const uint64_t&, BinId) { return std::make_unique<EmptyBin>(); });
   std::vector<std::pair<BinId, uint32_t>> moves;
-  cs.FlushChunks(ctx, 0, [&](const uint64_t&, BinChunk&& c) {
-    moves.emplace_back(c.bin, c.target);
+  cs.FlushChunks(ctx, 0, 0, [&](const uint64_t&, BinChunk&& c) {
+    ForEachSegment(c, [&](BinId bin, uint32_t, bool, Reader&) {
+      moves.emplace_back(bin, c.target);
+    });
   });
   // Bin 0 moves once (to 2); bin 3 ends where it started, so it stays.
   EXPECT_EQ(moves, (std::vector<std::pair<BinId, uint32_t>>{{0, 2}}));

@@ -296,11 +296,12 @@ TEST(MegaphoneExtra, GapSlowsBatchIssueRate) {
 }
 
 // Every frame payload of one cursor, in order.
-std::vector<std::vector<uint8_t>> DrainFrames(FrameCursor& cursor) {
+std::vector<std::vector<uint8_t>> DrainFrames(FrameCursor& cursor,
+                                              size_t bound) {
   std::vector<std::vector<uint8_t>> frames;
   while (!cursor.done()) {
     Writer w;
-    cursor.NextFrame(w);
+    cursor.NextFrame(w, bound);
     frames.push_back(w.Take());
   }
   return frames;
@@ -321,14 +322,14 @@ TEST(MegaphoneExtra, BinsSharedAccounting) {
 
   // Extracting a bin unregisters its pending times and clears the slot;
   // nothing is encoded until the cursor is asked for a frame.
-  // chunk_bytes == 0: the monolithic path, exactly one frame.
-  auto cursor = detail::ExtractBin(shared, 1, /*chunk_bytes=*/0);
+  // Bound 0: the monolithic path, exactly one frame.
+  auto cursor = detail::ExtractBin(shared, 1);
   ASSERT_TRUE(cursor);
   EXPECT_EQ(shared.ResidentBins(), 1u);
   EXPECT_FALSE(shared.bins[1]);
   EXPECT_EQ(shared.pending_bins[7].count(1), 0u);
   EXPECT_EQ(shared.pending_bins[7].count(3), 1u);
-  auto frames = DrainFrames(*cursor);
+  auto frames = DrainFrames(*cursor, 0);
   ASSERT_EQ(frames.size(), 1u);
 
   // The shipped bin round-trips with state and pending records.
@@ -340,7 +341,7 @@ TEST(MegaphoneExtra, BinsSharedAccounting) {
   EXPECT_EQ(back.pending[7][0], 42u);
 
   // Extracting a non-resident bin yields nothing to ship.
-  EXPECT_FALSE(detail::ExtractBin(shared, 0, 0));
+  EXPECT_FALSE(detail::ExtractBin(shared, 0));
 }
 
 TEST(MegaphoneExtra, ChunkedExtractionRebuildsTheSameBin) {
@@ -354,9 +355,9 @@ TEST(MegaphoneExtra, ChunkedExtractionRebuildsTheSameBin) {
   shared.RegisterPending(11, 0);
   shared.RegisterPending(12, 0);
 
-  auto cursor = detail::ExtractBin(shared, 0, /*chunk_bytes=*/256);
+  auto cursor = detail::ExtractBin(shared, 0);
   ASSERT_TRUE(cursor);
-  auto frames = DrainFrames(*cursor);
+  auto frames = DrainFrames(*cursor, 256);
   ASSERT_GT(frames.size(), 2u) << "500 entries at 256-byte chunks";
   for (size_t i = 0; i + 1 < frames.size(); ++i) {
     EXPECT_LE(frames[i].size(), 256 + 64u) << "chunk far above the byte bound";

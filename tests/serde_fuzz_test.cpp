@@ -21,6 +21,7 @@
 #include "harness/histogram.hpp"
 #include "megaphone/bin.hpp"
 #include "megaphone/control.hpp"
+#include "megaphone/stateful.hpp"
 #include "net/frame.hpp"
 #include "state/checkpoint.hpp"
 #include "state/dense_state.hpp"
@@ -353,11 +354,11 @@ TEST(SerdeFuzz, HistogramRejectsInconsistentEncodings) {
 // copy of `bin`.
 template <typename BinT>
 std::vector<std::vector<uint8_t>> Frames(const BinT& bin, size_t chunk_bytes) {
-  detail::BinCursor<BinT> cursor(std::make_unique<BinT>(bin), chunk_bytes);
+  detail::BinCursor<BinT> cursor(std::make_unique<BinT>(bin));
   std::vector<std::vector<uint8_t>> out;
   while (!cursor.done()) {
     Writer w;
-    cursor.NextFrame(w);
+    cursor.NextFrame(w, chunk_bytes);
     out.push_back(w.Take());
   }
   return out;
@@ -394,6 +395,119 @@ TEST(SerdeFuzz, ChunkedBinaryBinRebuildAndCorruption) {
       // clean failure; fine
     }
   }
+}
+
+// The frames worker 0 of 2 sends when `bins` random binary bins (the
+// even bins of 16) migrate to worker 1 at one time, cut at `chunk_bytes`.
+std::vector<BinChunk> PackedFrames(Xoshiro256& rng, size_t bins,
+                                   size_t chunk_bytes) {
+  BinsShared<WireBinaryBin, uint64_t> shared(16);
+  ControlState<uint64_t> cs(16, 2, 0);
+  timely::OpCtx<uint64_t> ctx(nullptr, "F");
+  ctx.NoteInputTime(0);
+  std::vector<ControlInst> moves;
+  for (BinId b = 0; b < 2 * bins; b += 2) {
+    shared.bins[b] = std::make_unique<WireBinaryBin>(RandomBinaryBin(rng));
+    moves.push_back({b, 1});
+  }
+  cs.Enqueue(ctx, 5, moves);
+  cs.IntegrateFinal(ctx, timely::Antichain<uint64_t>({6}));
+  cs.RunReadyMigrations(
+      ctx, [](const uint64_t&) { return true; },
+      [&](const uint64_t&, BinId b) { return detail::ExtractBin(shared, b); });
+  std::vector<BinChunk> frames;
+  cs.FlushChunks(ctx, chunk_bytes, 0, [&](const uint64_t&, BinChunk&& c) {
+    frames.push_back(std::move(c));
+  });
+  return frames;
+}
+
+// Feeds `frames[0, k)` and then `last` through S's frame-absorb path on
+// worker 1 of 16 bins. Returns normally only if every segment installed
+// cleanly; then each resident bin must be a whole, encodable bin.
+void AbsorbAtWorkerOne(const std::vector<BinChunk>& frames, size_t k,
+                       const BinChunk& last) {
+  BinsShared<WireBinaryBin, uint64_t> shared(16);
+  std::map<BinId, detail::AbsorbingBin<WireBinaryBin>> absorbing;
+  auto hold = [](const uint64_t&) {};
+  for (size_t i = 0; i < k; ++i) {
+    detail::AbsorbChunkFrame(shared, absorbing, frames[i], 1, hold);
+  }
+  detail::AbsorbChunkFrame(shared, absorbing, last, 1, hold);
+  for (const auto& bin : shared.bins) {
+    if (bin) (void)EncodeToBytes(*bin);
+  }
+}
+
+// A packed frame of several bins, truncated at every prefix of its
+// payload or with any of its encoded bytes flipped, either installs
+// validly or fails with SerdeError — S reads it from the wire, so it must
+// never crash or abort. The frames before it arrive intact, so the
+// mutated frame's segments continue bins that are mid-absorption.
+TEST(SerdeFuzz, PackedFrameTruncationAndCorruption) {
+  Xoshiro256 rng(19);
+  for (size_t chunk_bytes : {size_t{0}, size_t{200}}) {
+    std::vector<BinChunk> frames = PackedFrames(rng, 6, chunk_bytes);
+    size_t k = 0;
+    size_t most = 0;
+    for (size_t i = 0; i < frames.size(); ++i) {
+      size_t segments = 0;
+      ForEachSegment(frames[i],
+                     [&](BinId, uint32_t, bool, Reader&) { ++segments; });
+      if (segments > most) {
+        most = segments;
+        k = i;
+      }
+    }
+    ASSERT_GE(most, 2u) << "no multi-bin frame at bound " << chunk_bytes;
+    EXPECT_NO_THROW(AbsorbAtWorkerOne(frames, k, frames[k]));
+    for (size_t len = 0; len < frames[k].bytes.size(); ++len) {
+      BinChunk cut = frames[k];
+      cut.bytes.resize(len);
+      try {
+        AbsorbAtWorkerOne(frames, k, cut);
+      } catch (const SerdeError&) {
+        // clean failure; fine
+      }
+    }
+    const std::vector<uint8_t> wire = EncodeToBytes(frames[k]);
+    for (size_t pos = 0; pos < wire.size(); ++pos) {
+      std::vector<uint8_t> bad = wire;
+      bad[pos] ^= static_cast<uint8_t>(1 + rng.NextBelow(255));
+      try {
+        AbsorbAtWorkerOne(frames, k, DecodeFromBytes<BinChunk>(bad));
+      } catch (const SerdeError&) {
+        // clean failure; fine
+      }
+    }
+  }
+}
+
+// A segment header naming a bin past the operator's bin count is a
+// SerdeError, in the frame header and in a packed segment alike.
+TEST(SerdeFuzz, OutOfRangeSegmentBinIsASerdeError) {
+  Xoshiro256 rng(23);
+  std::vector<BinChunk> frames = PackedFrames(rng, 3, 0);
+  ASSERT_EQ(frames.size(), 1u);
+  BinChunk first = frames[0];
+  first.bin = 16;
+  EXPECT_THROW(AbsorbAtWorkerOne(frames, 0, first), SerdeError);
+
+  BinChunk packed;
+  packed.target = 1;
+  packed.bin = 0;
+  Writer w;
+  struct EmptyBin final : FrameCursor {
+    size_t NextFrame(Writer&, size_t) override {
+      sent = true;
+      return 0;
+    }
+    bool done() const override { return sent; }
+    bool sent = false;
+  } empty;
+  AppendSegment(w, /*bin=*/1u << 20, 0, empty, 0);
+  packed.bytes = w.Take();
+  EXPECT_THROW(AbsorbAtWorkerOne(frames, 0, packed), SerdeError);
 }
 
 // Every prefix of a dense chunk payload either fails with SerdeError (a

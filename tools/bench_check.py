@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI bench gates for the megabench driver.
 
-Three modes, combinable:
+Modes, combinable:
 
   --report FILE [FILE ...]
       Sanity-check merged figure reports: each must parse as JSON, carry a
@@ -63,11 +63,22 @@ Three modes, combinable:
       (the paper-style "within 1.5x" criterion) and F to 20 ms of
       absolute noise headroom for busy CI runners.
 
+  --chunk-frames FILE
+      Frame-packing gate on a chunked count report (megabench --fig=1
+      --chunk-bytes=B): migrating bins share frames, so every migration
+      window's chunk_frames must be at most ceil(chunk_bytes / B) +
+      batches * W * (W - 1), where W is the report's total worker count.
+      A frame never mixes times or targets, so each (source, target)
+      pair may end each batch with one partly filled frame; the frames
+      are otherwise full. Sending one frame per bin fails this gate as
+      soon as bins are smaller than B.
+
 Exit status 0 iff every requested check passes.
 """
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -171,6 +182,40 @@ def check_max_latency(path: str, margin: float, floor_ms: float) -> None:
     )
     if chunk_ms > bound:
         sys.exit(1)
+
+
+def check_chunk_frames(path: str) -> None:
+    """Gate a chunked report's frame counts against the packing bound."""
+    with open(path) as f:
+        report = json.load(f)
+    bound = int(report.get("config", {}).get("chunk_bytes", 0))
+    if bound <= 0:
+        fail(f"{path}: config.chunk_bytes (the frame bound) is missing or 0")
+    workers = (int(report.get("processes", 1))
+               * int(report.get("workers_per_process", 1)))
+    pairs = workers * (workers - 1)
+    windows = 0
+    for v in report.get("variants", []):
+        label = v.get("label", "?")
+        for m in v.get("migrations", []):
+            frames = int(m["chunk_frames"])
+            nbytes = int(m["chunk_bytes"])
+            batches = max(1, int(m["batches"]))
+            limit = math.ceil(nbytes / bound) + batches * pairs
+            windows += 1
+            if frames > limit:
+                fail(
+                    f"{path}: {label} migration at {m['start_sec']:.3f} s "
+                    f"sent {frames} frames for {nbytes} bytes in {batches} "
+                    f"batch(es), above the packing bound {limit} "
+                    f"(chunk_bytes {bound}, {workers} workers)"
+                )
+    if windows == 0:
+        fail(f"{path}: no migration windows to check")
+    print(
+        f"bench_check: OK: {path}: {windows} migration windows within "
+        f"the frame-packing bound (chunk_bytes {bound}, {workers} workers)"
+    )
 
 
 def check_rss_bound(path: str) -> None:
@@ -345,6 +390,9 @@ def main() -> None:
     ap.add_argument("--max-latency-floor-ms", type=float, default=8.0,
                     help="absolute noise headroom added to the bound "
                          "(default 8 ms)")
+    ap.add_argument("--chunk-frames",
+                    help="chunked count report whose frame counts to gate "
+                         "against the packing bound")
     ap.add_argument("--rss-bound",
                     help="fig-25 spill-to-disk report to gate")
     ap.add_argument("--recovery",
@@ -362,14 +410,17 @@ def main() -> None:
 
     if (not args.report and not args.steady and not args.max_latency
             and not args.recovery and not args.adaptive
-            and not args.rss_bound):
+            and not args.rss_bound and not args.chunk_frames):
         ap.error("nothing to check: pass --report, --steady, --max-latency, "
-                 "--recovery, --adaptive and/or --rss-bound")
+                 "--recovery, --adaptive, --chunk-frames and/or "
+                 "--rss-bound")
     for path in args.report:
         check_report(path)
     if args.max_latency:
         check_max_latency(args.max_latency, args.max_latency_margin,
                           args.max_latency_floor_ms)
+    if args.chunk_frames:
+        check_chunk_frames(args.chunk_frames)
     if args.rss_bound:
         check_rss_bound(args.rss_bound)
     if args.recovery:
