@@ -1,5 +1,5 @@
-// megabench: the unified paper-figure bench driver. One binary subsumes
-// every fig* main:
+// megabench: the unified paper-figure bench driver, one binary for every
+// figure of the paper's evaluation:
 //
 //   megabench --fig=1                       Figure 1 count timelines
 //   megabench --fig=7        (or --query=3) NEXMark Q3 timelines

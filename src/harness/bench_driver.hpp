@@ -1,7 +1,6 @@
-// The unified figure-bench driver behind `megabench` and every fig*
-// binary: one flag surface (--fig/--query/--strategy/--workers/
-// --processes/--records/--out), one distributed launch path, one merged
-// JSON report schema.
+// The unified figure-bench driver behind `megabench`: one flag surface
+// (--fig/--query/--strategy/--workers/--processes/--records/--out), one
+// distributed launch path, one merged JSON report schema.
 //
 // Every figure of the paper's evaluation runs through here. With
 // --processes=P the driver forks a fresh P-process group per variant run
@@ -1373,20 +1372,18 @@ inline void BenchDriverUsage() {
       "                    process must run identical flags\n");
 }
 
-/// Shared main() body for megabench and the fig* stub binaries;
-/// `forced_fig` pins the figure (stubs), -1 reads --fig/--query.
-inline int BenchDriverMain(int argc, char** argv, int forced_fig = -1) {
+/// megabench's main() body: --steady, or the figure --fig/--query names.
+inline int BenchDriverMain(int argc, char** argv) {
   Flags flags(argc, argv);
   if (flags.GetBool("help", false)) {
     BenchDriverUsage();
     return 0;
   }
-  if (forced_fig < 0 && flags.GetBool("steady", false)) {
+  if (flags.GetBool("steady", false)) {
     return RunSteadySuite(flags);
   }
 
-  int fig = forced_fig > 0 ? forced_fig
-                           : static_cast<int>(flags.GetInt("fig", 0));
+  int fig = static_cast<int>(flags.GetInt("fig", 0));
   if (fig == 0 && flags.Has("query")) {
     fig = static_cast<int>(flags.GetInt("query", 3)) + 4;
   }

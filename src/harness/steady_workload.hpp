@@ -6,8 +6,7 @@
 //
 // This suite produces the machine-readable steady_throughput entries the
 // BENCH_*.json baselines record and the CI regression gate
-// (tools/bench_check.py) compares against. Shared by `megabench --steady`
-// and `micro_steady_state --steady`.
+// (tools/bench_check.py) compares against. Run by `megabench --steady`.
 #pragma once
 
 #include <atomic>

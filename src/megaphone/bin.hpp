@@ -4,6 +4,8 @@
 // (paper §4.2); a bin holds the user state for its keys plus all pending
 // post-dated records ("the list of pending (val, time) records produced by
 // the operator for future times", §3.4), so that a migration moves both.
+// One bin type serves operators of any number of data inputs: StateBin
+// keeps one pending map per input, and Bin is its one-input form.
 //
 // The user state inside a bin sits on the migratable-state layer
 // (src/state/): a backend exposing whole-value serde (checkpoints) *and* a
@@ -13,9 +15,6 @@
 // packs consecutive bins into shared BinChunk frames (control.hpp), so a
 // small bin is one segment of a frame and a large one spans frames; the
 // destination absorbs segments incrementally.
-// Bin and BinaryBin share one serde/chunk implementation
-// (detail::SerializeParts and friends) that is variadic over the pending
-// maps.
 //
 // The F and S operator instances on the same worker share the bin
 // container through a shared pointer — they run on the same thread, so no
@@ -47,154 +46,105 @@ namespace detail {
 constexpr uint8_t kSecState = 1;     // one backend state chunk
 constexpr uint8_t kSecPending0 = 2;  // pending map i at tag kSecPending0+i
 
-/// Whole-value serde shared by Bin and BinaryBin: the state backend
-/// followed by each pending map, in declaration order.
-template <typename Backend, typename... Pending>
-void SerializeParts(Writer& w, const Backend& backend,
-                    const Pending&... pending) {
-  Encode(w, backend);
-  (Encode(w, pending), ...);
-}
-
-template <typename Backend, typename... Pending>
-void DeserializeParts(Reader& r, Backend& backend, Pending&... pending) {
-  backend = Decode<Backend>(r);
-  ((pending = Decode<Pending>(r)), ...);
-}
-
-/// Incremental absorption shared by Bin and BinaryBin. Pending-map
-/// sections accumulate into `bufs` (one buffer per map) until the bin's
-/// last segment, whose arrival finalizes the backend and decodes the maps.
-template <size_t N, typename Backend, typename... Pending>
-void AbsorbPartsChunk(Reader& r, bool last,
-                      std::array<std::vector<uint8_t>, N>& bufs,
-                      Backend& backend, Pending&... pending) {
-  static_assert(sizeof...(Pending) == N);
-  state::ForEachSection(r, [&](uint8_t tag, Reader& sec) {
-    if (tag == kSecState) {
-      backend.AbsorbChunk(sec);
-      // Malformed wire input surfaces as SerdeError, never UB or abort.
-      if (!sec.AtEnd()) {
-        throw SerdeError("bin chunk: state section not fully absorbed");
-      }
-    } else {
-      size_t i = tag - kSecPending0;
-      if (i >= N) throw SerdeError("bin chunk: unknown section tag");
-      size_t n = sec.remaining();
-      size_t old = bufs[i].size();
-      bufs[i].resize(old + n);
-      sec.ReadBytes(bufs[i].data() + old, n);
-    }
-  });
-  if (last) {
-    backend.FinishAbsorb();
-    size_t i = 0;
-    auto finish_pending = [&](auto& p) {
-      if (!bufs[i].empty()) {
-        p = DecodeFromBytes<std::remove_reference_t<decltype(p)>>(bufs[i]);
-        bufs[i].clear();
-        bufs[i].shrink_to_fit();
-      }
-      ++i;
-    };
-    (finish_pending(pending), ...);
-  }
-}
-
 }  // namespace detail
 
-/// State and pending records of one bin for a unary operator.
-template <typename S, typename D, typename T>
-struct Bin {
+/// State and pending records of one bin of an operator whose data inputs
+/// carry records of types Ds... (one pending map per input, in input
+/// order).
+template <typename S, typename T, typename... Ds>
+struct StateBin {
+  static_assert(sizeof...(Ds) > 0, "a bin serves at least one input");
   using Backend = state::BackendFor<S>;
 
   Backend state{};
-  std::map<T, std::vector<D>> pending;  // post-dated records by time
+  /// Post-dated records by time; map i holds input i's records.
+  std::tuple<std::map<T, std::vector<Ds>>...> pending;
 
   /// The state reference the operator logic sees: the declared type S.
   S& user_state() { return state::BackendSel<S>::user(state); }
 
   template <typename Fn>
   void ForEachPendingTime(Fn fn) const {
-    for (const auto& [t, _] : pending) fn(t);
+    auto times = [&](const auto& m) {
+      for (const auto& [t, _] : m) fn(t);
+    };
+    std::apply([&](const auto&... m) { (times(m), ...); }, pending);
   }
 
   /// Cheap size estimate for load statistics: state entries (when the
-  /// backend exposes a count) plus pending records, scaled by the record
-  /// size. Relative weight only — the adaptive controller compares bins
-  /// against each other, it never bills exact bytes.
+  /// backend exposes a count) plus pending records, scaled by the mean
+  /// record size of the inputs. Relative weight only — the adaptive
+  /// controller compares bins against each other, it never bills exact
+  /// bytes.
   uint64_t ApproxBytes() const {
     uint64_t n = 0;
     if constexpr (requires { state.size(); }) n = state.size();
-    for (const auto& [t, v] : pending) n += v.size();
-    return n * sizeof(D);
+    auto records = [&](const auto& m) {
+      for (const auto& [t, v] : m) n += v.size();
+    };
+    std::apply([&](const auto&... m) { (records(m), ...); }, pending);
+    return n * ((sizeof(Ds) + ...) / sizeof...(Ds));
   }
 
+  /// Whole-value serde: the state backend followed by each pending map,
+  /// in input order.
   void Serialize(Writer& w) const {
-    detail::SerializeParts(w, state, pending);
+    Encode(w, state);
+    std::apply([&](const auto&... m) { (Encode(w, m), ...); }, pending);
   }
-  static Bin Deserialize(Reader& r) {
-    Bin b;
-    detail::DeserializeParts(r, b.state, b.pending);
+  static StateBin Deserialize(Reader& r) {
+    StateBin b;
+    b.state = Decode<Backend>(r);
+    std::apply(
+        [&](auto&... m) {
+          ((m = Decode<std::remove_reference_t<decltype(m)>>(r)), ...);
+        },
+        b.pending);
     return b;
   }
 
-  /// The pending maps, in section-tag order (see detail::BinCursor).
-  auto pending_maps() const { return std::tie(pending); }
-
+  /// Incremental absorption of one segment's sections. Pending-map
+  /// sections accumulate into one buffer per map until the bin's last
+  /// segment, whose arrival finalizes the backend and decodes the maps.
   void AbsorbChunk(Reader& r, bool last) {
-    detail::AbsorbPartsChunk(r, last, absorb_bufs_, state, pending);
+    state::ForEachSection(r, [&](uint8_t tag, Reader& sec) {
+      if (tag == detail::kSecState) {
+        state.AbsorbChunk(sec);
+        // Malformed wire input surfaces as SerdeError, never UB or abort.
+        if (!sec.AtEnd()) {
+          throw SerdeError("bin chunk: state section not fully absorbed");
+        }
+      } else {
+        size_t i = tag - detail::kSecPending0;
+        if (i >= sizeof...(Ds)) {
+          throw SerdeError("bin chunk: unknown section tag");
+        }
+        size_t n = sec.remaining();
+        size_t old = absorb_bufs_[i].size();
+        absorb_bufs_[i].resize(old + n);
+        sec.ReadBytes(absorb_bufs_[i].data() + old, n);
+      }
+    });
+    if (!last) return;
+    state.FinishAbsorb();
+    size_t i = 0;
+    auto finish_pending = [&](auto& m) {
+      auto& buf = absorb_bufs_[i++];
+      if (buf.empty()) return;
+      m = DecodeFromBytes<std::remove_reference_t<decltype(m)>>(buf);
+      buf.clear();
+      buf.shrink_to_fit();
+    };
+    std::apply([&](auto&... m) { (finish_pending(m), ...); }, pending);
   }
 
  private:
-  std::array<std::vector<uint8_t>, 1> absorb_bufs_;
+  std::array<std::vector<uint8_t>, sizeof...(Ds)> absorb_bufs_;
 };
 
-/// State and pending records of one bin for a binary operator.
-template <typename S, typename D1, typename D2, typename T>
-struct BinaryBin {
-  using Backend = state::BackendFor<S>;
-
-  Backend state{};
-  std::map<T, std::vector<D1>> pending1;
-  std::map<T, std::vector<D2>> pending2;
-
-  S& user_state() { return state::BackendSel<S>::user(state); }
-
-  template <typename Fn>
-  void ForEachPendingTime(Fn fn) const {
-    for (const auto& [t, _] : pending1) fn(t);
-    for (const auto& [t, _] : pending2) fn(t);
-  }
-
-  /// See Bin::ApproxBytes.
-  uint64_t ApproxBytes() const {
-    uint64_t n = 0;
-    if constexpr (requires { state.size(); }) n = state.size();
-    for (const auto& [t, v] : pending1) n += v.size();
-    for (const auto& [t, v] : pending2) n += v.size();
-    return n * ((sizeof(D1) + sizeof(D2)) / 2);
-  }
-
-  void Serialize(Writer& w) const {
-    detail::SerializeParts(w, state, pending1, pending2);
-  }
-  static BinaryBin Deserialize(Reader& r) {
-    BinaryBin b;
-    detail::DeserializeParts(r, b.state, b.pending1, b.pending2);
-    return b;
-  }
-
-  auto pending_maps() const { return std::tie(pending1, pending2); }
-
-  void AbsorbChunk(Reader& r, bool last) {
-    detail::AbsorbPartsChunk(r, last, absorb_bufs_, state, pending1,
-                             pending2);
-  }
-
- private:
-  std::array<std::vector<uint8_t>, 2> absorb_bufs_;
-};
+/// The bin of a one-input operator: records of type D, times T.
+template <typename S, typename D, typename T>
+using Bin = StateBin<S, T, D>;
 
 /// The per-worker bin container shared between co-located F and S
 /// instances. `bins[b] == nullptr` means bin b is not (or not yet)
@@ -366,7 +316,7 @@ class BinCursor final : public FrameCursor {
             ++tag),
            ...);
         },
-        bin_->pending_maps());
+        bin_->pending);
   }
 
   std::unique_ptr<BinT> bin_;

@@ -314,7 +314,7 @@ class RoutingTable {
 
 /// Operator F's control-plane state: buffered (not yet final) updates, the
 /// routing table, and the queue of migrations this worker must perform.
-/// Shared by the unary and binary Megaphone operators.
+/// One per F instance, whatever the operator's number of data inputs.
 template <typename T>
 class ControlState {
  public:

@@ -1,9 +1,13 @@
 // Megaphone's migratable stateful operators (paper §3.4, §4).
 //
-// Each stateful operator L is realized as a pair of dataflow operators:
+// Each stateful operator L is realized as a pair of dataflow operators,
+// built by one core (detail::Stateful) for any number of data inputs;
+// Unary, Binary and StateMachine are thin adapters over it. All inputs
+// share one routing table, one bin container and one state channel, so
+// "the migration mechanism acts on both inputs at the same time" (§3.4).
 //
-//   * F takes the data stream plus the control stream of configuration
-//     updates. It routes records to the worker owning their bin *at the
+//   * F takes the control stream of configuration updates plus the data
+//     streams. It routes records to the worker owning their bin *at the
 //     record's timestamp*, buffering records whose time is still in
 //     advance of the control frontier (the configuration there could still
 //     change). F also initiates migrations: a configuration update at time
@@ -21,11 +25,15 @@
 //
 //   * S hosts the bins. It installs received state immediately — chunked
 //     state incrementally, frame by frame, through the migratable-state
-//     layer (src/state/) — stashes incoming records per (time, bin), and
-//     applies them in timestamp order once the time is in advance of
-//     neither the data-input nor the state-input frontier. Post-dated
-//     records scheduled by the user logic live inside the bin and migrate
-//     with it.
+//     layer (src/state/) — stashes incoming records per (input, time,
+//     bin), and applies them in timestamp order once the time is in
+//     advance of neither any data-input frontier nor the state-input
+//     frontier. Post-dated records scheduled by the user logic live inside
+//     the bin and migrate with it.
+//
+// Per-input work (routing, stashing, applying) expands at compile time
+// over the input index, so the one-input record path carries no
+// indirection a hand-written unary operator would not.
 //
 // Capability discipline: F retains a capability at every buffered control
 // or data time (so S frontiers cannot outrun a planned migration), and S
@@ -44,6 +52,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -58,21 +67,6 @@
 #include "timely/stream.hpp"
 
 namespace megaphone {
-
-#ifdef MEGA_PROF_HOT
-struct HotProf {
-  std::atomic<uint64_t> f_route{0}, s_ingest{0}, s_apply{0};
-};
-inline HotProf& hot_prof() {
-  static HotProf p;
-  return p;
-}
-#define MEGA_PROF_BEGIN(v) uint64_t prof_##v = NowNanos()
-#define MEGA_PROF_END(v) hot_prof().v += NowNanos() - prof_##v
-#else
-#define MEGA_PROF_BEGIN(v)
-#define MEGA_PROF_END(v)
-#endif
 
 /// Configuration of a Megaphone stateful operator.
 struct Config {
@@ -230,30 +224,63 @@ struct StatefulOutput {
       restore_bins;
 };
 
+
 namespace detail {
 
+/// Calls `fn(std::integral_constant<size_t, I>{})` for I = 0..N-1, in
+/// order, expanded at compile time.
+template <size_t N, typename Fn>
+void ForEachInput(Fn&& fn) {
+  [&]<size_t... I>(std::index_sequence<I...>) {
+    (fn(std::integral_constant<size_t, I>{}), ...);
+  }(std::make_index_sequence<N>{});
+}
+
 /// Schedules post-dated records for the bin currently being applied; they
-/// are stored in the bin (and therefore migrate with it).
-template <typename BinT, typename D, typename T,
-          std::map<T, std::vector<D>> BinT::* PendingField>
-class SchedulerImpl {
+/// are stored in the bin (and therefore migrate with it). `Schedule<I>`
+/// post-dates a record of input I; `ScheduleAt` (one input) and
+/// `Schedule1`/`Schedule2` (two inputs) are its spellings in the paper's
+/// `unary` and `binary` interfaces.
+template <typename S, typename T, typename... Ds>
+class Scheduler {
+  using BinT = StateBin<S, T, Ds...>;
+  using First = std::tuple_element_t<0, std::tuple<Ds...>>;
+  using Last = std::tuple_element_t<sizeof...(Ds) - 1, std::tuple<Ds...>>;
+
  public:
-  SchedulerImpl(BinsShared<BinT, T>* shared, BinT* bin, BinId bin_id,
-                const T* now, timely::OpCtx<T>* ctx, std::set<T>* held)
+  Scheduler(BinsShared<BinT, T>* shared, BinT* bin, BinId bin_id,
+            const T* now, timely::OpCtx<T>* ctx, std::set<T>* held)
       : shared_(shared), bin_(bin), bin_id_(bin_id), now_(now), ctx_(ctx),
         held_(held) {}
 
-  /// Presents `rec` to the operator again at time `t`, which must be
-  /// strictly in the future.
-  void ScheduleAt(const T& t, D rec) {
+  /// Presents `rec` to input I again at time `t`, which must be strictly
+  /// in the future.
+  template <size_t I>
+  void Schedule(const T& t, std::tuple_element_t<I, std::tuple<Ds...>> rec) {
     MEGA_CHECK(timely::InAdvanceOf(t, *now_) && !(t == *now_))
         << "post-dated records must be strictly in the future";
-    ((*bin_).*PendingField)[t].push_back(std::move(rec));
+    std::get<I>(bin_->pending)[t].push_back(std::move(rec));
     shared_->RegisterPending(t, bin_id_);
     if (!held_->count(t)) {
       ctx_->Retain(t);
       held_->insert(t);
     }
+  }
+
+  void ScheduleAt(const T& t, First rec)
+    requires(sizeof...(Ds) == 1)
+  {
+    Schedule<0>(t, std::move(rec));
+  }
+  void Schedule1(const T& t, First rec)
+    requires(sizeof...(Ds) == 2)
+  {
+    Schedule<0>(t, std::move(rec));
+  }
+  void Schedule2(const T& t, Last rec)
+    requires(sizeof...(Ds) == 2)
+  {
+    Schedule<1>(t, std::move(rec));
   }
 
  private:
@@ -265,16 +292,21 @@ class SchedulerImpl {
   std::set<T>* held_;
 };
 
-/// Picks the compaction horizon: the smaller of two frontier minima, if
-/// both are nonempty (totally ordered timestamps assumed for routing-table
-/// compaction, which holds for every dataflow in this repository).
-template <typename T>
-std::optional<T> CompactionHorizon(const timely::Antichain<T>& a,
-                                   const timely::Antichain<T>& b) {
-  if (a.empty() || b.empty()) return std::nullopt;
-  const T& ta = a.elements().front();
-  const T& tb = b.elements().front();
-  return timely::TimestampTraits<T>::LessEqual(ta, tb) ? ta : tb;
+/// Picks the compaction horizon: the least of the frontier minima, if
+/// every frontier is nonempty (totally ordered timestamps assumed for
+/// routing-table compaction, which holds for every dataflow in this
+/// repository).
+template <typename T, typename... Rest>
+std::optional<T> CompactionHorizon(const timely::Antichain<T>& first,
+                                   const Rest&... rest) {
+  if (first.empty() || (rest.empty() || ...)) return std::nullopt;
+  T horizon = first.elements().front();
+  auto lower = [&](const timely::Antichain<T>& a) {
+    const T& ta = a.elements().front();
+    if (!timely::TimestampTraits<T>::LessEqual(horizon, ta)) horizon = ta;
+  };
+  (lower(rest), ...);
+  return horizon;
 }
 
 /// One bin mid-absorption at S: the partially installed bin plus the next
@@ -290,8 +322,7 @@ struct AbsorbingBin {
 /// partial-bin set, finalizing residency — and registering the bin's
 /// pending times through `hold` — at each bin's last segment. A bin that
 /// arrives whole (one segment with seq 0 and last set) installs directly.
-/// The frame is wire input: any inconsistency throws SerdeError. Shared by
-/// the unary and binary S.
+/// The frame is wire input: any inconsistency throws SerdeError.
 template <typename BinT, typename T, typename HoldFn>
 void AbsorbChunkFrame(BinsShared<BinT, T>& shared,
                       std::map<BinId, AbsorbingBin<BinT>>& absorbing,
@@ -332,8 +363,7 @@ void AbsorbChunkFrame(BinsShared<BinT, T>& shared,
 }
 
 /// Encodes and emits F's queued frames under the per-step flow-control
-/// budget, counting them into the process-wide chunk counters. Shared by the
-/// unary and binary F.
+/// budget, counting them into the process-wide chunk counters.
 template <typename T>
 void FlushStateChunks(ControlState<T>& cs, timely::OpCtx<T>& ctx,
                       const Config& cfg,
@@ -348,47 +378,84 @@ void FlushStateChunks(ControlState<T>& cs, timely::OpCtx<T>& ctx,
                  });
 }
 
-}  // namespace detail
+/// S's stash of one data input: per-time flat stashes (pooled) plus the
+/// record vector of bins that have only post-dated records at a time.
+template <typename D, typename T>
+struct InputStash {
+  std::map<T, BinStash<D>> queue;
+  BinStashPool<D> pool;
+  std::vector<D> scratch;
 
-/// Builds a migratable unary stateful operator (paper Listing 1, `unary`).
-///
-///   * `S` — per-bin user state; default-constructible and serde-able.
-///   * `R` — output record type.
-///   * `control` — stream of configuration updates; broadcast to all
-///     workers. Its frontier must be advanced by every worker for routing
-///     to proceed (see MigrationController).
-///   * `key_fn(const D&) -> uint64_t` — the exchange function; the bin is
-///     its most significant bits.
-///   * `fold(time, state, records, emit, scheduler)` — the operator logic,
-///     invoked per (time, bin) with all records for that bin at that time
-///     (input records first, then post-dated records), an `emit(R)`
-///     callable, and a scheduler for post-dated records.
-///
-/// Migration is transparent to `fold`.
-template <typename S, typename R, typename D, typename T, typename KeyFn,
-          typename Fold>
-StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
-                           timely::Stream<D, T> data, KeyFn key_fn, Fold fold,
-                           const Config& cfg) {
-  using BinT = Bin<S, D, T>;
+  /// The stash at `t`, or null if no record of this input arrived at `t`.
+  BinStash<D>* At(const T& t) {
+    auto it = queue.find(t);
+    return it != queue.end() ? &it->second : nullptr;
+  }
+};
+
+/// The records one input applies to bin `b` at `t`: the stashed input
+/// records (or the emptied scratch vector), followed by the bin's
+/// post-dated records at `t`, which leave the bin.
+template <typename D, typename T>
+std::vector<D>* TakeRecords(BinStash<D>* stash, std::vector<D>& scratch,
+                            std::map<T, std::vector<D>>& pending, BinId b,
+                            const T& t) {
+  std::vector<D>* recs = &scratch;
+  if (stash && stash->Has(b)) {
+    recs = &stash->SlotRef(b);
+  } else {
+    recs->clear();
+  }
+  auto pf = pending.find(t);
+  if (pf != pending.end()) {
+    recs->insert(recs->end(), std::make_move_iterator(pf->second.begin()),
+                 std::make_move_iterator(pf->second.end()));
+    pending.erase(pf);
+  }
+  return recs;
+}
+
+/// The F/S core behind every stateful operator: data inputs of record
+/// types Ds..., routed by the matching key functions, folded per
+/// (time, bin) by `fold(time, state, records_0, ..., records_{N-1}, emit,
+/// scheduler)`. F has the control input then the data inputs, and the
+/// routed outputs then the state output; S has the routed inputs then the
+/// state input, and one output.
+template <typename S, typename R, typename T, typename Fold, typename... Ds,
+          typename... KeyFns>
+StatefulOutput<R, T> Stateful(timely::Stream<ControlInst, T> control,
+                              std::tuple<timely::Stream<Ds, T>...> data,
+                              std::tuple<KeyFns...> key_fns, Fold fold,
+                              const Config& cfg) {
+  static_assert(sizeof...(Ds) == sizeof...(KeyFns));
+  constexpr size_t N = sizeof...(Ds);
+  using BinT = StateBin<S, T, Ds...>;
+  using Inputs = std::index_sequence_for<Ds...>;
   using timely::OpCtx;
   using timely::OperatorBuilder;
   using timely::Pact;
 
-  timely::Scope<T>& scope = *data.scope();
+  timely::Scope<T>& scope = *std::get<0>(data).scope();
   const uint32_t num_bins = cfg.num_bins;
   MEGA_CHECK((num_bins & (num_bins - 1)) == 0 && num_bins > 0)
       << "num_bins must be a power of two";
 
   auto shared = std::make_shared<BinsShared<BinT, T>>(num_bins);
   auto probe_slot = std::make_shared<timely::ProbeHandle<T>>();
-  auto inbox = std::make_shared<SelfInbox<D, T>>();
+  auto inboxes = std::make_shared<std::tuple<SelfInbox<Ds, T>...>>();
+  auto to_target = [](const auto& m) { return m.target; };
 
   // ------------------------------------------------------------------ F
+  // Braced initializers keep the port order: inputs and outputs are
+  // added left to right.
   OperatorBuilder<T> fb(scope, cfg.name + "_F");
   auto* ctrl_in = fb.AddInput(control, Pact<ControlInst>::Broadcast());
-  auto* data_in = fb.AddInput(data, Pact<D>::Pipeline());
-  auto [routed_out, routed_stream] = fb.template AddOutput<Routed<D>>();
+  auto data_in = [&]<size_t... I>(std::index_sequence<I...>) {
+    return std::tuple{fb.AddInput(std::get<I>(data), Pact<Ds>::Pipeline())...};
+  }(Inputs{});
+  std::tuple<std::pair<timely::OutputHandle<Routed<Ds>, T>*,
+                       timely::Stream<Routed<Ds>, T>>...>
+      routed{fb.template AddOutput<Routed<Ds>>()...};
   auto [state_out, state_stream] = fb.template AddOutput<BinChunk>();
   if (cfg.state_bytes_per_sec != 0) {
     state_out->SetThrottle(cfg.state_bytes_per_sec,
@@ -397,10 +464,12 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
 
   struct FState {
     FState(uint32_t bins, uint32_t workers, uint32_t me)
-        : cs(bins, workers, me), route_scratch(workers) {}
+        : cs(bins, workers, me),
+          route_scratch(std::vector<std::vector<Routed<Ds>>>(workers)...) {}
     ControlState<T> cs;
-    std::map<T, std::vector<D>> stash;
-    std::vector<std::vector<Routed<D>>> route_scratch;  // per target worker
+    std::map<T, std::tuple<std::vector<Ds>...>> stash;
+    // Per input, per target worker.
+    std::tuple<std::vector<std::vector<Routed<Ds>>>...> route_scratch;
     uint64_t steps = 0;
   };
   auto fs = std::make_shared<FState>(num_bins, scope.peers(), scope.worker());
@@ -409,13 +478,14 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
   }
 
   fb.Build([=](OpCtx<T>& ctx) {
-    // Routes a whole batch: records are grouped per destination worker in
-    // pooled scratch buffers, then each group leaves as one zero-copy
-    // bundle. In the steady state between migrations the owner lookup is
-    // a flat array load per record.
-    auto route_batch = [&](const T& t, std::vector<D>& recs) {
-      MEGA_PROF_BEGIN(f_route);
-      auto& per_target = fs->route_scratch;
+    // Routes a whole batch of input i: records are grouped per
+    // destination worker in pooled scratch buffers, then each group
+    // leaves as one zero-copy bundle. In the steady state between
+    // migrations the owner lookup is a flat array load per record.
+    auto route_batch = [&](auto i, const T& t, auto& recs) {
+      using D = std::tuple_element_t<i, std::tuple<Ds...>>;
+      const auto& key_fn = std::get<i>(key_fns);
+      auto& per_target = std::get<i>(fs->route_scratch);
       const auto& routing = fs->cs.routing();
       if (const uint32_t* owners = routing.FlatOwnersAt(t)) {
         auto* groups = per_target.data();
@@ -432,18 +502,18 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
         }
       }
       const uint32_t me = ctx.worker();
+      auto& inbox = std::get<i>(*inboxes);
       for (uint32_t w = 0; w < per_target.size(); ++w) {
         if (per_target[w].empty()) continue;
         if (w == me) {
           // Same-thread handoff: S (scheduled after F in this very step)
           // drains the inbox; no channel, no progress counts.
-          inbox->bundles.emplace_back(t, std::move(per_target[w]));
-          per_target[w] = inbox->TakeBuffer();
+          inbox.bundles.emplace_back(t, std::move(per_target[w]));
+          per_target[w] = inbox.TakeBuffer();
         } else {
-          routed_out->SendBundle(t, w, per_target[w]);
+          std::get<i>(routed).first->SendBundle(t, w, per_target[w]);
         }
       }
-      MEGA_PROF_END(f_route);
     };
 
     // 1. Ingest configuration updates (retain a capability per time: F
@@ -456,25 +526,28 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
     //    integrate them into the routing table and queue migrations.
     fs->cs.IntegrateFinal(ctx, ctrl_in->frontier());
 
-    // 3. Route data; buffer records whose time is in advance of the
-    //    control frontier (their configuration is not yet certain).
-    data_in->ForEach([&](const T& t, std::vector<D>& recs) {
-      if (ctrl_in->frontier().LessEqual(t)) {
-        auto [it, inserted] = fs->stash.emplace(t, std::vector<D>{});
-        if (inserted) ctx.Retain(t);
-        auto& vec = it->second;
-        vec.insert(vec.end(), std::make_move_iterator(recs.begin()),
-                   std::make_move_iterator(recs.end()));
-      } else {
-        route_batch(t, recs);
-      }
+    // 3. Route each input's data; buffer records whose time is in advance
+    //    of the control frontier (their configuration is not yet certain).
+    ForEachInput<N>([&](auto i) {
+      std::get<i>(data_in)->ForEach([&](const T& t, auto& recs) {
+        if (ctrl_in->frontier().LessEqual(t)) {
+          auto [it, inserted] = fs->stash.try_emplace(t);
+          if (inserted) ctx.Retain(t);
+          auto& vec = std::get<i>(it->second);
+          vec.insert(vec.end(), std::make_move_iterator(recs.begin()),
+                     std::make_move_iterator(recs.end()));
+        } else {
+          route_batch(i, t, recs);
+        }
+      });
     });
 
     // 4. Flush buffered records whose configuration has become final.
     while (!fs->stash.empty()) {
       auto it = fs->stash.begin();
       if (ctrl_in->frontier().LessEqual(it->first)) break;
-      route_batch(it->first, it->second);
+      ForEachInput<N>(
+          [&](auto i) { route_batch(i, it->first, std::get<i>(it->second)); });
       ctx.Release(it->first);
       fs->stash.erase(it);
     }
@@ -491,36 +564,35 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
           MEGA_CHECK(probe_slot->valid());
           return !probe_slot->LessThan(t);
         },
-        [&](const T&, BinId b) {
-          return detail::ExtractBin(*shared, b);
-        });
-    detail::FlushStateChunks(fs->cs, ctx, cfg, state_out);
+        [&](const T&, BinId b) { return ExtractBin(*shared, b); });
+    FlushStateChunks(fs->cs, ctx, cfg, state_out);
 
-    // 6. Periodically drop routing-table versions behind both frontiers.
+    // 6. Periodically drop routing-table versions behind every frontier.
     if ((++fs->steps & 63) == 0) {
-      auto horizon = detail::CompactionHorizon(ctrl_in->frontier(),
-                                               data_in->frontier());
+      auto horizon = std::apply(
+          [&](auto*... in) {
+            return CompactionHorizon(ctrl_in->frontier(), in->frontier()...);
+          },
+          data_in);
       if (horizon) fs->cs.routing().Compact(*horizon);
     }
   });
 
   // ------------------------------------------------------------------ S
   OperatorBuilder<T> sb(scope, cfg.name + "_S");
-  auto* s_data_in = sb.AddInput(
-      routed_stream,
-      Pact<Routed<D>>::Route([](const Routed<D>& r) { return r.target; }));
-  auto* s_state_in = sb.AddInput(
-      state_stream,
-      Pact<BinChunk>::Route([](const BinChunk& m) { return m.target; }));
+  auto s_data_in = [&]<size_t... I>(std::index_sequence<I...>) {
+    return std::tuple{sb.AddInput(std::get<I>(routed).second,
+                                  Pact<Routed<Ds>>::Route(to_target))...};
+  }(Inputs{});
+  auto* s_state_in =
+      sb.AddInput(state_stream, Pact<BinChunk>::Route(to_target));
   auto [out, out_stream] = sb.template AddOutput<R>();
 
   struct SState {
-    std::map<T, BinStash<D>> queue;  // per-time flat stash, pooled
-    BinStashPool<D> pool;
+    std::tuple<InputStash<Ds, T>...> inputs;
     std::set<T> held;
     std::vector<BinId> bins_scratch;
-    std::vector<D> recs_scratch;  // bins with only post-dated records
-    std::map<BinId, detail::AbsorbingBin<BinT>> absorbing;
+    std::map<BinId, AbsorbingBin<BinT>> absorbing;
     std::vector<uint64_t> records_applied;  // per bin, since last stats take
   };
   auto ss = std::make_shared<SState>();
@@ -561,98 +633,117 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
     //    which cannot happen before F releases t after the last frame.
     s_state_in->ForEach([&](const T&, std::vector<BinChunk>& ms) {
       for (auto& m : ms) {
-        detail::AbsorbChunkFrame(*shared, ss->absorbing, m, ctx.worker(),
-                                 hold);
+        AbsorbChunkFrame(*shared, ss->absorbing, m, ctx.worker(), hold);
       }
     });
 
-    // 2. Stash incoming records per time, flat by bin (F already computed
-    //    each record's bin): first bundles handed over by the co-located
-    //    F this very step, then channel deliveries from remote workers.
-    auto stash_records = [&](const T& t, std::vector<Routed<D>>& recs) {
-      MEGA_PROF_BEGIN(s_ingest);
+    // 2. Stash incoming records per input and time, flat by bin (F
+    //    already computed each record's bin): first bundles handed over
+    //    by the co-located F this very step, then channel deliveries from
+    //    remote workers.
+    auto stash_records = [&](auto i, const T& t, auto& recs) {
       hold(t);
-      auto it = ss->queue.find(t);
-      if (it == ss->queue.end()) {
-        it = ss->queue.emplace(t, ss->pool.Acquire(num_bins)).first;
+      auto& in = std::get<i>(ss->inputs);
+      auto it = in.queue.find(t);
+      if (it == in.queue.end()) {
+        it = in.queue.emplace(t, in.pool.Acquire(num_bins)).first;
       }
       auto* slots = it->second.by_bin.data();
       for (auto& r : recs) {
         MEGA_DCHECK(r.target == ctx.worker()) << "misrouted record";
         slots[r.bin].push_back(std::move(r.payload));
       }
-      MEGA_PROF_END(s_ingest);
     };
-    if (!inbox->bundles.empty()) {
-      for (auto& [t, recs] : inbox->bundles) {
+    ForEachInput<N>([&](auto i) {
+      auto& inbox = std::get<i>(*inboxes);
+      if (inbox.bundles.empty()) return;
+      for (auto& [t, recs] : inbox.bundles) {
         ctx.NoteInputTime(t);
-        stash_records(t, recs);
+        stash_records(i, t, recs);
         recs.clear();
-        inbox->pool.push_back(std::move(recs));
+        inbox.pool.push_back(std::move(recs));
       }
-      inbox->bundles.clear();
-    }
-    s_data_in->ForEach(stash_records);
+      inbox.bundles.clear();
+    });
+    ForEachInput<N>([&](auto i) {
+      std::get<i>(s_data_in)->ForEach(
+          [&](const T& t, auto& recs) { stash_records(i, t, recs); });
+    });
 
-    // 3. Apply, in timestamp order, every time in advance of neither the
-    //    data-input nor the state-input frontier.
-    MEGA_PROF_BEGIN(s_apply);
-    const auto& f_data = s_data_in->frontier();
-    const auto& f_state = s_state_in->frontier();
+    // 3. Apply, in timestamp order, every time in advance of neither any
+    //    data-input frontier nor the state-input frontier.
     while (true) {
       std::optional<T> t;
-      if (!ss->queue.empty()) t = ss->queue.begin()->first;
+      auto consider = [&](const T& cand) {
+        if (!t || cand < *t) t = cand;
+      };
+      ForEachInput<N>([&](auto i) {
+        const auto& queue = std::get<i>(ss->inputs).queue;
+        if (!queue.empty()) consider(queue.begin()->first);
+      });
       if (!shared->pending_bins.empty()) {
-        const T& tp = shared->pending_bins.begin()->first;
-        if (!t || tp < *t) t = tp;
+        consider(shared->pending_bins.begin()->first);
       }
-      if (!t || f_data.LessEqual(*t) || f_state.LessEqual(*t)) break;
+      if (!t) break;
+      const bool blocked = std::apply(
+          [&](auto*... in) { return (in->frontier().LessEqual(*t) || ...); },
+          s_data_in);
+      if (blocked || s_state_in->frontier().LessEqual(*t)) break;
 
-      // Bins with work at *t: stashed input records (the occupancy list)
-      // and/or pending post-dated records; sorted for deterministic
-      // application order.
-      auto qit = ss->queue.find(*t);
-      BinStash<D>* stash = qit != ss->queue.end() ? &qit->second : nullptr;
+      // Bins with work at *t: each input's stashed records (its occupancy
+      // list, increasing) and/or pending post-dated records (a set,
+      // increasing); merged and deduplicated only when more than one
+      // source contributed, for a deterministic application order.
+      auto stashes = std::apply(
+          [&](auto&... in) { return std::tuple{in.At(*t)...}; }, ss->inputs);
       auto& bins_at_t = ss->bins_scratch;
       bins_at_t.clear();
-      if (stash) stash->AppendOccupied(bins_at_t);  // increasing order
-      size_t sorted_prefix = bins_at_t.size();
-      auto pit = shared->pending_bins.find(*t);
-      if (pit != shared->pending_bins.end()) {
-        for (BinId b : pit->second) {
-          if (!stash || !stash->Has(b)) bins_at_t.push_back(b);
+      int sources = 0;
+      ForEachInput<N>([&](auto i) {
+        if (auto* stash = std::get<i>(stashes)) {
+          const size_t before = bins_at_t.size();
+          stash->AppendOccupied(bins_at_t);
+          sources += bins_at_t.size() != before;
         }
+      });
+      auto pit = shared->pending_bins.find(*t);
+      if (pit != shared->pending_bins.end() && !pit->second.empty()) {
+        bins_at_t.insert(bins_at_t.end(), pit->second.begin(),
+                         pit->second.end());
+        ++sources;
       }
-      if (bins_at_t.size() != sorted_prefix) {
+      if (sources > 1) {
         std::sort(bins_at_t.begin(), bins_at_t.end());
+        bins_at_t.erase(std::unique(bins_at_t.begin(), bins_at_t.end()),
+                        bins_at_t.end());
       }
       for (BinId b : bins_at_t) {
         auto& slot = shared->bins[b];
         if (!slot) slot = std::make_unique<BinT>();  // first touch
-        std::vector<D>* recs = &ss->recs_scratch;
-        if (stash && stash->Has(b)) {
-          recs = &stash->SlotRef(b);
-        } else {
-          recs->clear();
-        }
-        auto pf = slot->pending.find(*t);
-        if (pf != slot->pending.end()) {
-          recs->insert(recs->end(),
-                       std::make_move_iterator(pf->second.begin()),
-                       std::make_move_iterator(pf->second.end()));
-          slot->pending.erase(pf);
-        }
-        ss->records_applied[b] += recs->size();
-        detail::SchedulerImpl<BinT, D, T, &BinT::pending> sched(
-            shared.get(), slot.get(), b, &*t, &ctx, &ss->held);
-        fold(*t, slot->user_state(), *recs,
-             [&](R r) { out->Send(*t, std::move(r)); }, sched);
-        recs->clear();  // slot capacity stays with the pooled stash
+        auto recs = [&]<size_t... I>(std::index_sequence<I...>) {
+          return std::tuple{TakeRecords(std::get<I>(stashes),
+                                        std::get<I>(ss->inputs).scratch,
+                                        std::get<I>(slot->pending), b,
+                                        *t)...};
+        }(Inputs{});
+        Scheduler<S, T, Ds...> sched(shared.get(), slot.get(), b, &*t, &ctx,
+                                     &ss->held);
+        std::apply(
+            [&](auto*... r) {
+              ss->records_applied[b] += (r->size() + ...);
+              fold(*t, slot->user_state(), *r...,
+                   [&](R rec) { out->Send(*t, std::move(rec)); }, sched);
+              (r->clear(), ...);  // slot capacity stays with the pool
+            },
+            recs);
       }
-      if (qit != ss->queue.end()) {
-        ss->pool.Recycle(std::move(qit->second));
-        ss->queue.erase(qit);
-      }
+      ForEachInput<N>([&](auto i) {
+        auto& in = std::get<i>(ss->inputs);
+        if (auto* stash = std::get<i>(stashes)) {
+          in.pool.Recycle(std::move(*stash));
+          in.queue.erase(*t);
+        }
+      });
       pit = shared->pending_bins.find(*t);
       if (pit != shared->pending_bins.end()) shared->pending_bins.erase(pit);
       if (ss->held.count(*t)) {
@@ -660,13 +751,14 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
         ss->held.erase(*t);
       }
     }
-    MEGA_PROF_END(s_apply);
 
     // 4. Release capabilities whose pending work vanished because F
     //    extracted the bins holding it (the records migrated away).
     for (auto it = ss->held.begin(); it != ss->held.end();) {
       const T& t = *it;
-      bool has_queue = ss->queue.count(t) > 0;
+      const bool has_queue = std::apply(
+          [&](const auto&... in) { return ((in.queue.count(t) > 0) || ...); },
+          ss->inputs);
       auto pit = shared->pending_bins.find(t);
       bool has_pending =
           pit != shared->pending_bins.end() && !pit->second.empty();
@@ -714,6 +806,33 @@ StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
   return result;
 }
 
+}  // namespace detail
+
+/// Builds a migratable unary stateful operator (paper Listing 1, `unary`).
+///
+///   * `S` — per-bin user state; default-constructible and serde-able.
+///   * `R` — output record type.
+///   * `control` — stream of configuration updates; broadcast to all
+///     workers. Its frontier must be advanced by every worker for routing
+///     to proceed (see MigrationController).
+///   * `key_fn(const D&) -> uint64_t` — the exchange function; the bin is
+///     its most significant bits.
+///   * `fold(time, state, records, emit, scheduler)` — the operator logic,
+///     invoked per (time, bin) with all records for that bin at that time
+///     (input records first, then post-dated records), an `emit(R)`
+///     callable, and a scheduler whose `ScheduleAt(t, rec)` post-dates a
+///     record.
+///
+/// Migration is transparent to `fold`.
+template <typename S, typename R, typename D, typename T, typename KeyFn,
+          typename Fold>
+StatefulOutput<R, T> Unary(timely::Stream<ControlInst, T> control,
+                           timely::Stream<D, T> data, KeyFn key_fn, Fold fold,
+                           const Config& cfg) {
+  return detail::Stateful<S, R>(control, std::make_tuple(data),
+                                std::make_tuple(key_fn), fold, cfg);
+}
+
 /// Builds a migratable binary stateful operator (paper Listing 1,
 /// `binary`): two data inputs share one binned state, and the migration
 /// mechanism acts on both inputs at the same time (paper §3.4).
@@ -727,381 +846,8 @@ StatefulOutput<R, T> Binary(timely::Stream<ControlInst, T> control,
                             timely::Stream<D1, T> data1,
                             timely::Stream<D2, T> data2, KeyFn1 key_fn1,
                             KeyFn2 key_fn2, Fold fold, const Config& cfg) {
-  using BinT = BinaryBin<S, D1, D2, T>;
-  using timely::OpCtx;
-  using timely::OperatorBuilder;
-  using timely::Pact;
-
-  timely::Scope<T>& scope = *data1.scope();
-  const uint32_t num_bins = cfg.num_bins;
-  MEGA_CHECK((num_bins & (num_bins - 1)) == 0 && num_bins > 0)
-      << "num_bins must be a power of two";
-
-  auto shared = std::make_shared<BinsShared<BinT, T>>(num_bins);
-  auto probe_slot = std::make_shared<timely::ProbeHandle<T>>();
-  auto inbox1 = std::make_shared<SelfInbox<D1, T>>();
-  auto inbox2 = std::make_shared<SelfInbox<D2, T>>();
-
-  // ------------------------------------------------------------------ F
-  OperatorBuilder<T> fb(scope, cfg.name + "_F");
-  auto* ctrl_in = fb.AddInput(control, Pact<ControlInst>::Broadcast());
-  auto* data1_in = fb.AddInput(data1, Pact<D1>::Pipeline());
-  auto* data2_in = fb.AddInput(data2, Pact<D2>::Pipeline());
-  auto [routed1_out, routed1_stream] = fb.template AddOutput<Routed<D1>>();
-  auto [routed2_out, routed2_stream] = fb.template AddOutput<Routed<D2>>();
-  auto [state_out, state_stream] = fb.template AddOutput<BinChunk>();
-  if (cfg.state_bytes_per_sec != 0) {
-    state_out->SetThrottle(cfg.state_bytes_per_sec,
-                           [](const BinChunk& m) { return m.WireSize(); });
-  }
-
-  struct FState {
-    FState(uint32_t bins, uint32_t workers, uint32_t me)
-        : cs(bins, workers, me), scratch1(workers), scratch2(workers) {}
-    ControlState<T> cs;
-    std::map<T, std::pair<std::vector<D1>, std::vector<D2>>> stash;
-    std::vector<std::vector<Routed<D1>>> scratch1;  // per target worker
-    std::vector<std::vector<Routed<D2>>> scratch2;
-    uint64_t steps = 0;
-  };
-  auto fs = std::make_shared<FState>(num_bins, scope.peers(), scope.worker());
-  if (!cfg.initial_owner.empty()) {
-    fs->cs.routing().ResetInitial(cfg.initial_owner);
-  }
-
-  fb.Build([=](OpCtx<T>& ctx) {
-    // Per-target grouping with flat owner lookups and the same-thread
-    // inbox handoff, as in the unary F.
-    auto route_any = [&](const T& t, auto& recs, auto key, auto& per_target,
-                         auto* routed_out_handle, auto& self_inbox) {
-      const auto& routing = fs->cs.routing();
-      using RecT = typename std::decay_t<decltype(recs)>::value_type;
-      if (const uint32_t* owners = routing.FlatOwnersAt(t)) {
-        for (auto& r : recs) {
-          BinId b = BinOf(key(r), num_bins);
-          uint32_t w = owners[b];
-          per_target[w].push_back(Routed<RecT>{w, b, std::move(r)});
-        }
-      } else {
-        for (auto& r : recs) {
-          BinId b = BinOf(key(r), num_bins);
-          uint32_t w = routing.WorkerAt(t, b);
-          per_target[w].push_back(Routed<RecT>{w, b, std::move(r)});
-        }
-      }
-      const uint32_t me = ctx.worker();
-      for (uint32_t w = 0; w < per_target.size(); ++w) {
-        if (per_target[w].empty()) continue;
-        if (w == me) {
-          self_inbox.bundles.emplace_back(t, std::move(per_target[w]));
-          per_target[w] = self_inbox.TakeBuffer();
-        } else {
-          routed_out_handle->SendBundle(t, w, per_target[w]);
-        }
-      }
-    };
-    auto route1 = [&](const T& t, std::vector<D1>& recs) {
-      route_any(t, recs, key_fn1, fs->scratch1, routed1_out, *inbox1);
-    };
-    auto route2 = [&](const T& t, std::vector<D2>& recs) {
-      route_any(t, recs, key_fn2, fs->scratch2, routed2_out, *inbox2);
-    };
-    auto stash_at = [&](const T& t)
-        -> std::pair<std::vector<D1>, std::vector<D2>>& {
-      auto [it, inserted] = fs->stash.emplace(
-          t, std::pair<std::vector<D1>, std::vector<D2>>{});
-      if (inserted) ctx.Retain(t);
-      return it->second;
-    };
-
-    ctrl_in->ForEach([&](const T& t, std::vector<ControlInst>& us) {
-      fs->cs.Enqueue(ctx, t, us);
-    });
-    fs->cs.IntegrateFinal(ctx, ctrl_in->frontier());
-
-    data1_in->ForEach([&](const T& t, std::vector<D1>& recs) {
-      if (ctrl_in->frontier().LessEqual(t)) {
-        auto& slot = stash_at(t).first;
-        slot.insert(slot.end(), std::make_move_iterator(recs.begin()),
-                    std::make_move_iterator(recs.end()));
-      } else {
-        route1(t, recs);
-      }
-    });
-    data2_in->ForEach([&](const T& t, std::vector<D2>& recs) {
-      if (ctrl_in->frontier().LessEqual(t)) {
-        auto& slot = stash_at(t).second;
-        slot.insert(slot.end(), std::make_move_iterator(recs.begin()),
-                    std::make_move_iterator(recs.end()));
-      } else {
-        route2(t, recs);
-      }
-    });
-
-    while (!fs->stash.empty()) {
-      auto it = fs->stash.begin();
-      if (ctrl_in->frontier().LessEqual(it->first)) break;
-      route1(it->first, it->second.first);
-      route2(it->first, it->second.second);
-      ctx.Release(it->first);
-      fs->stash.erase(it);
-    }
-
-    fs->cs.RunReadyMigrations(
-        ctx,
-        [&](const T& t) {
-          MEGA_CHECK(probe_slot->valid());
-          return !probe_slot->LessThan(t);
-        },
-        [&](const T&, BinId b) {
-          return detail::ExtractBin(*shared, b);
-        });
-    detail::FlushStateChunks(fs->cs, ctx, cfg, state_out);
-
-    if ((++fs->steps & 63) == 0) {
-      auto horizon = detail::CompactionHorizon(ctrl_in->frontier(),
-                                               data1_in->frontier());
-      if (horizon) {
-        horizon = detail::CompactionHorizon(
-            timely::Antichain<T>({*horizon}), data2_in->frontier());
-      }
-      if (horizon) fs->cs.routing().Compact(*horizon);
-    }
-  });
-
-  // ------------------------------------------------------------------ S
-  OperatorBuilder<T> sb(scope, cfg.name + "_S");
-  auto* s1_in = sb.AddInput(
-      routed1_stream,
-      Pact<Routed<D1>>::Route([](const Routed<D1>& r) { return r.target; }));
-  auto* s2_in = sb.AddInput(
-      routed2_stream,
-      Pact<Routed<D2>>::Route([](const Routed<D2>& r) { return r.target; }));
-  auto* s_state_in = sb.AddInput(
-      state_stream,
-      Pact<BinChunk>::Route([](const BinChunk& m) { return m.target; }));
-  auto [out, out_stream] = sb.template AddOutput<R>();
-
-  struct SState {
-    std::map<T, BinStash<D1>> queue1;
-    std::map<T, BinStash<D2>> queue2;
-    BinStashPool<D1> pool1;
-    BinStashPool<D2> pool2;
-    std::set<T> held;
-    std::vector<BinId> bins_scratch;
-    std::vector<D1> recs1_scratch;
-    std::vector<D2> recs2_scratch;
-    std::map<BinId, detail::AbsorbingBin<BinT>> absorbing;
-    std::vector<uint64_t> records_applied;  // per bin, since last stats take
-  };
-  auto ss = std::make_shared<SState>();
-  ss->records_applied.assign(num_bins, 0);
-
-  sb.Build([=](OpCtx<T>& ctx) {
-    auto hold = [&](const T& t) {
-      if (!ss->held.count(t)) {
-        ctx.Retain(t);
-        ss->held.insert(t);
-      }
-    };
-
-    // 0. Install checkpoint-restored bins staged before stepping began:
-    //    deserialize each whole-value payload and re-register its pending
-    //    times under a capability hold — exactly as if the bin had just
-    //    migrated in. Runs on S's first schedule, before any input.
-    if (!shared->restore_staging.empty()) {
-      for (auto& [rb, rbytes] : shared->restore_staging) {
-        MEGA_CHECK(!shared->bins[rb]) << "restore into resident bin " << rb;
-        Reader rr(rbytes);
-        auto rbin = std::make_unique<BinT>(BinT::Deserialize(rr));
-        rbin->ForEachPendingTime([&](const T& t) {
-          shared->RegisterPending(t, rb);
-          hold(t);
-        });
-        shared->bins[rb] = std::move(rbin);
-      }
-      shared->restore_staging.clear();
-      shared->restore_staging.shrink_to_fit();
-    }
-
-    // Chunk-by-chunk installation, shared with the unary S.
-    s_state_in->ForEach([&](const T&, std::vector<BinChunk>& ms) {
-      for (auto& m : ms) {
-        detail::AbsorbChunkFrame(*shared, ss->absorbing, m, ctx.worker(),
-                                 hold);
-      }
-    });
-
-    auto stash_into = [&](auto& queue, auto& pool, const auto& t,
-                          auto& recs) {
-      hold(t);
-      auto it = queue.find(t);
-      if (it == queue.end()) {
-        it = queue.emplace(t, pool.Acquire(num_bins)).first;
-      }
-      auto* slots = it->second.by_bin.data();
-      for (auto& r : recs) {
-        MEGA_DCHECK(r.target == ctx.worker()) << "misrouted record";
-        slots[r.bin].push_back(std::move(r.payload));
-      }
-    };
-    auto drain_inbox = [&](auto& self_inbox, auto& queue, auto& pool) {
-      if (self_inbox.bundles.empty()) return;
-      for (auto& [t, recs] : self_inbox.bundles) {
-        ctx.NoteInputTime(t);
-        stash_into(queue, pool, t, recs);
-        recs.clear();
-        self_inbox.pool.push_back(std::move(recs));
-      }
-      self_inbox.bundles.clear();
-    };
-    drain_inbox(*inbox1, ss->queue1, ss->pool1);
-    drain_inbox(*inbox2, ss->queue2, ss->pool2);
-    s1_in->ForEach([&](const T& t, std::vector<Routed<D1>>& recs) {
-      stash_into(ss->queue1, ss->pool1, t, recs);
-    });
-    s2_in->ForEach([&](const T& t, std::vector<Routed<D2>>& recs) {
-      stash_into(ss->queue2, ss->pool2, t, recs);
-    });
-
-    const auto& f1 = s1_in->frontier();
-    const auto& f2 = s2_in->frontier();
-    const auto& fstate = s_state_in->frontier();
-    while (true) {
-      std::optional<T> t;
-      auto consider = [&](const T& cand) {
-        if (!t || cand < *t) t = cand;
-      };
-      if (!ss->queue1.empty()) consider(ss->queue1.begin()->first);
-      if (!ss->queue2.empty()) consider(ss->queue2.begin()->first);
-      if (!shared->pending_bins.empty())
-        consider(shared->pending_bins.begin()->first);
-      if (!t || f1.LessEqual(*t) || f2.LessEqual(*t) || fstate.LessEqual(*t))
-        break;
-
-      auto q1 = ss->queue1.find(*t);
-      auto q2 = ss->queue2.find(*t);
-      BinStash<D1>* stash1 = q1 != ss->queue1.end() ? &q1->second : nullptr;
-      BinStash<D2>* stash2 = q2 != ss->queue2.end() ? &q2->second : nullptr;
-      auto& bins_at_t = ss->bins_scratch;
-      bins_at_t.clear();
-      if (stash1) stash1->AppendOccupied(bins_at_t);
-      if (stash2) stash2->AppendOccupied(bins_at_t);
-      auto pit = shared->pending_bins.find(*t);
-      if (pit != shared->pending_bins.end()) {
-        bins_at_t.insert(bins_at_t.end(), pit->second.begin(),
-                         pit->second.end());
-      }
-      std::sort(bins_at_t.begin(), bins_at_t.end());
-      bins_at_t.erase(std::unique(bins_at_t.begin(), bins_at_t.end()),
-                      bins_at_t.end());
-
-      for (BinId b : bins_at_t) {
-        auto& slot = shared->bins[b];
-        if (!slot) slot = std::make_unique<BinT>();
-        std::vector<D1>* recs1 = &ss->recs1_scratch;
-        std::vector<D2>* recs2 = &ss->recs2_scratch;
-        if (stash1 && stash1->Has(b)) {
-          recs1 = &stash1->SlotRef(b);
-        } else {
-          recs1->clear();
-        }
-        if (stash2 && stash2->Has(b)) {
-          recs2 = &stash2->SlotRef(b);
-        } else {
-          recs2->clear();
-        }
-        auto move_pending = [&](auto& pending, auto& recs) {
-          auto pf = pending.find(*t);
-          if (pf != pending.end()) {
-            recs.insert(recs.end(),
-                        std::make_move_iterator(pf->second.begin()),
-                        std::make_move_iterator(pf->second.end()));
-            pending.erase(pf);
-          }
-        };
-        move_pending(slot->pending1, *recs1);
-        move_pending(slot->pending2, *recs2);
-        ss->records_applied[b] += recs1->size() + recs2->size();
-        detail::SchedulerImpl<BinT, D1, T, &BinT::pending1> sched1(
-            shared.get(), slot.get(), b, &*t, &ctx, &ss->held);
-        detail::SchedulerImpl<BinT, D2, T, &BinT::pending2> sched2(
-            shared.get(), slot.get(), b, &*t, &ctx, &ss->held);
-        struct BothScheds {
-          decltype(sched1)& s1;
-          decltype(sched2)& s2;
-          void Schedule1(const T& t2, D1 r) { s1.ScheduleAt(t2, std::move(r)); }
-          void Schedule2(const T& t2, D2 r) { s2.ScheduleAt(t2, std::move(r)); }
-        } scheds{sched1, sched2};
-        fold(*t, slot->user_state(), *recs1, *recs2,
-             [&](R r) { out->Send(*t, std::move(r)); }, scheds);
-        recs1->clear();
-        recs2->clear();
-      }
-      if (q1 != ss->queue1.end()) {
-        ss->pool1.Recycle(std::move(q1->second));
-        ss->queue1.erase(q1);
-      }
-      if (q2 != ss->queue2.end()) {
-        ss->pool2.Recycle(std::move(q2->second));
-        ss->queue2.erase(q2);
-      }
-      pit = shared->pending_bins.find(*t);
-      if (pit != shared->pending_bins.end()) shared->pending_bins.erase(pit);
-      if (ss->held.count(*t)) {
-        ctx.Release(*t);
-        ss->held.erase(*t);
-      }
-    }
-
-    for (auto it = ss->held.begin(); it != ss->held.end();) {
-      const T& t = *it;
-      bool has_queue = ss->queue1.count(t) > 0 || ss->queue2.count(t) > 0;
-      auto pit = shared->pending_bins.find(t);
-      bool has_pending =
-          pit != shared->pending_bins.end() && !pit->second.empty();
-      if (pit != shared->pending_bins.end() && pit->second.empty()) {
-        shared->pending_bins.erase(pit);
-      }
-      if (!has_queue && !has_pending) {
-        ctx.Release(t);
-        it = ss->held.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  });
-
-  auto probe = timely::Probe(out_stream);
-  *probe_slot = probe;
-  StatefulOutput<R, T> result;
-  result.stream = out_stream;
-  result.probe = probe;
-  result.take_bin_stats = [shared, ss, num_bins](BinStats& out) {
-    out.records = std::move(ss->records_applied);
-    ss->records_applied.assign(num_bins, 0);
-    out.state_bytes.assign(num_bins, 0);
-    out.resident.assign(num_bins, 0);
-    for (BinId b = 0; b < shared->bins.size(); ++b) {
-      if (!shared->bins[b]) continue;
-      out.resident[b] = 1;
-      out.state_bytes[b] = shared->bins[b]->ApproxBytes();
-    }
-  };
-  result.capture_bins =
-      [shared](std::vector<std::pair<uint32_t, std::vector<uint8_t>>>& out) {
-        for (BinId b = 0; b < shared->bins.size(); ++b) {
-          if (!shared->bins[b]) continue;
-          Writer w;
-          shared->bins[b]->Serialize(w);
-          out.emplace_back(b, w.Take());
-        }
-      };
-  result.restore_bins =
-      [shared](std::vector<std::pair<uint32_t, std::vector<uint8_t>>> staged) {
-        shared->restore_staging = std::move(staged);
-      };
-  return result;
+  return detail::Stateful<S, R>(control, std::make_tuple(data1, data2),
+                                std::make_tuple(key_fn1, key_fn2), fold, cfg);
 }
 
 /// Builds the simplest Megaphone interface (paper Listing 1,

@@ -6,17 +6,21 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <set>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "megaphone/bin.hpp"
 #include "megaphone/control.hpp"
@@ -501,25 +505,29 @@ template <typename BinT>
 void FillBin(BinT& bin, uint64_t seed) {
   Xoshiro256 rng(seed);
   Fill(bin.state, rng);
-  if constexpr (requires { bin.pending; }) {
+  if constexpr (std::tuple_size_v<decltype(bin.pending)> == 1) {
     for (uint64_t t = 10; t < 14; ++t) {
-      for (int i = 0; i < 30; ++i) bin.pending[t].push_back(rng.Next());
+      for (int i = 0; i < 30; ++i) {
+        std::get<0>(bin.pending)[t].push_back(rng.Next());
+      }
     }
   } else {
     for (uint64_t t = 10; t < 14; ++t) {
-      for (int i = 0; i < 30; ++i) bin.pending1[t].push_back(rng.Next());
-      bin.pending2[t + 1].push_back(std::to_string(t * 7));
+      for (int i = 0; i < 30; ++i) {
+        std::get<0>(bin.pending)[t].push_back(rng.Next());
+      }
+      std::get<1>(bin.pending)[t + 1].push_back(std::to_string(t * 7));
     }
   }
 }
 
 template <typename BinT>
 void ExpectSamePending(const BinT& a, const BinT& b) {
-  if constexpr (requires { a.pending; }) {
-    EXPECT_EQ(a.pending, b.pending);
+  if constexpr (std::tuple_size_v<decltype(a.pending)> == 1) {
+    EXPECT_EQ(std::get<0>(a.pending), std::get<0>(b.pending));
   } else {
-    EXPECT_EQ(a.pending1, b.pending1);
-    EXPECT_EQ(a.pending2, b.pending2);
+    EXPECT_EQ(std::get<0>(a.pending), std::get<0>(b.pending));
+    EXPECT_EQ(std::get<1>(a.pending), std::get<1>(b.pending));
   }
 }
 
@@ -556,7 +564,7 @@ void RoundTripAtEveryBound() {
 template <typename S>
 using UnaryBin = Bin<S, uint64_t, uint64_t>;
 template <typename S>
-using PairBin = BinaryBin<S, uint64_t, std::string, uint64_t>;
+using PairBin = StateBin<S, uint64_t, uint64_t, std::string>;
 
 TEST(ChunkCursor, MapBinsRoundTrip) {
   RoundTripAtEveryBound<UnaryBin<state::MapState<uint64_t, std::string>>>();
@@ -666,8 +674,63 @@ TEST(ChunkCursor, MonolithicLogBinShipsBytesUnderACheckpointScope) {
   BinT ref;
   FillBin(ref, 7);
   EXPECT_EQ(back->state.Snapshot(), ref.state.Snapshot());
-  EXPECT_EQ(back->pending, ref.pending);
+  EXPECT_EQ(std::get<0>(back->pending), std::get<0>(ref.pending));
   fs::remove_all(root);
+}
+
+// ------------------------------------------------------------ golden bytes
+
+// The bin format is pinned: checkpoints and state frames written by one
+// build must read back in another, and a reordered section would still
+// pass every round trip above. Fixed-seed one- and two-input bins with
+// nonempty pending maps, on MapState and DenseState, hash to constants
+// taken from the format as it stands; a change to them is a format change.
+uint64_t HashFrames(const std::vector<std::vector<uint8_t>>& frames) {
+  uint64_t h = HashMix64(frames.size());
+  for (const auto& f : frames) {
+    h = HashCombine(h, HashBytes(std::string_view(
+                           reinterpret_cast<const char*>(f.data()), f.size())));
+  }
+  return h;
+}
+
+/// Hashes of a filled bin's Serialize bytes and of its chunk frames at
+/// bounds 0 and 4096.
+template <typename BinT>
+std::array<uint64_t, 3> BinFingerprint() {
+  std::array<uint64_t, 3> out{};
+  BinT bin;
+  FillBin(bin, 2024);
+  Writer w;
+  bin.Serialize(w);
+  out[0] = HashFrames({w.Take()});
+  size_t k = 1;
+  for (size_t bound : {size_t{0}, size_t{4096}}) {
+    BinsShared<BinT, uint64_t> shared(1);
+    shared.bins[0] = std::make_unique<BinT>();
+    FillBin(*shared.bins[0], 2024);
+    auto cursor = detail::ExtractBin(shared, 0);
+    out[k++] = HashFrames(DrainFrames(*cursor, bound));
+  }
+  return out;
+}
+
+TEST(ChunkCursor, BinBytesArePinned) {
+  using Fingerprint = std::array<uint64_t, 3>;
+  using MapS = state::MapState<uint64_t, std::string>;
+  using DenseS = state::DenseState<uint64_t>;
+  EXPECT_EQ(BinFingerprint<UnaryBin<MapS>>(),
+            (Fingerprint{0x3cc819e5e6e75af5ULL, 0xc32f3d75c867cf44ULL,
+                         0x63780c44486dd62aULL}));
+  EXPECT_EQ(BinFingerprint<PairBin<MapS>>(),
+            (Fingerprint{0x79ac832fb1481951ULL, 0xcb683a060e3e5b57ULL,
+                         0xeb94e1a77f31ca44ULL}));
+  EXPECT_EQ(BinFingerprint<UnaryBin<DenseS>>(),
+            (Fingerprint{0x4a23d2fcd72bf228ULL, 0xb3d0a2ec78a56587ULL,
+                         0xc260d7dc0745a0edULL}));
+  EXPECT_EQ(BinFingerprint<PairBin<DenseS>>(),
+            (Fingerprint{0x9faa86507a1b9963ULL, 0xdeb47d1979d59cd7ULL,
+                         0xe7f64ae65275339eULL}));
 }
 
 }  // namespace

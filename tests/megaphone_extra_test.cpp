@@ -313,7 +313,7 @@ TEST(MegaphoneExtra, BinsSharedAccounting) {
   EXPECT_EQ(shared.ResidentBins(), 0u);
   shared.bins[1] = std::make_unique<BinT>();
   shared.bins[1]->user_state() = 99;
-  shared.bins[1]->pending[7].push_back(42);
+  std::get<0>(shared.bins[1]->pending)[7].push_back(42);
   shared.bins[3] = std::make_unique<BinT>();
   EXPECT_EQ(shared.ResidentBins(), 2u);
 
@@ -337,8 +337,8 @@ TEST(MegaphoneExtra, BinsSharedAccounting) {
   Reader r(frames[0]);
   back.AbsorbChunk(r, /*last=*/true);
   EXPECT_EQ(back.user_state(), 99u);
-  ASSERT_EQ(back.pending[7].size(), 1u);
-  EXPECT_EQ(back.pending[7][0], 42u);
+  ASSERT_EQ(std::get<0>(back.pending)[7].size(), 1u);
+  EXPECT_EQ(std::get<0>(back.pending)[7][0], 42u);
 
   // Extracting a non-resident bin yields nothing to ship.
   EXPECT_FALSE(detail::ExtractBin(shared, 0));
@@ -350,8 +350,8 @@ TEST(MegaphoneExtra, ChunkedExtractionRebuildsTheSameBin) {
   shared.bins[0] = std::make_unique<BinT>();
   auto& st = shared.bins[0]->user_state();
   for (uint64_t k = 0; k < 500; ++k) st[k] = k * 3;
-  shared.bins[0]->pending[11] = {1, 2, 3};
-  shared.bins[0]->pending[12] = {4};
+  std::get<0>(shared.bins[0]->pending)[11] = {1, 2, 3};
+  std::get<0>(shared.bins[0]->pending)[12] = {4};
   shared.RegisterPending(11, 0);
   shared.RegisterPending(12, 0);
 
@@ -370,8 +370,9 @@ TEST(MegaphoneExtra, ChunkedExtractionRebuildsTheSameBin) {
   }
   EXPECT_EQ(back.user_state().size(), 500u);
   EXPECT_EQ(back.user_state()[123], 369u);
-  EXPECT_EQ(back.pending, (std::map<uint64_t, std::vector<uint64_t>>{
-                              {11, {1, 2, 3}}, {12, {4}}}));
+  EXPECT_EQ(std::get<0>(back.pending),
+            (std::map<uint64_t, std::vector<uint64_t>>{{11, {1, 2, 3}},
+                                                       {12, {4}}}));
 }
 
 TEST(MegaphoneExtra, PlanBatchesEmptyDiff) {

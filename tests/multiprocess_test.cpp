@@ -3,7 +3,7 @@
 // with the same workload run as 1 process x 4 worker threads — the same
 // final per-key counts and the same number of completed migration
 // batches — while a fluid migration moves a quarter of the bins
-// mid-stream (so routed records, migrating BinaryBin payloads, and
+// mid-stream (so routed records, migrating two-input bins, and
 // progress batches all genuinely cross the wire).
 //
 // The test forks: LaunchLoopbackProcesses binds kernel-assigned loopback

@@ -76,8 +76,8 @@ std::vector<Change<uint64_t>> RandomChangeBatch(Xoshiro256& rng) {
 }
 
 using WireBinaryBin =
-    BinaryBin<std::unordered_map<uint64_t, uint64_t>, uint64_t,
-              std::pair<uint64_t, std::string>, uint64_t>;
+    StateBin<std::unordered_map<uint64_t, uint64_t>, uint64_t, uint64_t,
+             std::pair<uint64_t, std::string>>;
 
 WireBinaryBin RandomBinaryBin(Xoshiro256& rng) {
   WireBinaryBin bin;
@@ -85,10 +85,10 @@ WireBinaryBin RandomBinaryBin(Xoshiro256& rng) {
     bin.state[rng.Next()] = rng.Next();
   }
   for (size_t i = rng.NextBelow(4); i > 0; --i) {
-    bin.pending1[rng.Next()] = RandomU64s(rng, 8);
+    std::get<0>(bin.pending)[rng.Next()] = RandomU64s(rng, 8);
   }
   for (size_t i = rng.NextBelow(4); i > 0; --i) {
-    auto& slot = bin.pending2[rng.Next()];
+    auto& slot = std::get<1>(bin.pending)[rng.Next()];
     for (size_t j = rng.NextBelow(4); j > 0; --j) {
       slot.emplace_back(rng.Next(), RandomString(rng, 12));
     }
@@ -145,7 +145,7 @@ state::CheckpointSegment RandomSegment(Xoshiro256& rng) {
   return seg;
 }
 
-// --- comparators (BinaryBin has no operator==) ----------------------------
+// --- comparators (StateBin has no operator==) -----------------------------
 
 template <typename T>
 void ExpectEqual(const T& a, const T& b) {
@@ -172,8 +172,8 @@ void ExpectEqual(const std::vector<Change<uint64_t>>& a,
 
 void ExpectEqual(const WireBinaryBin& a, const WireBinaryBin& b) {
   EXPECT_EQ(a.state, b.state);
-  EXPECT_EQ(a.pending1, b.pending1);
-  EXPECT_EQ(a.pending2, b.pending2);
+  EXPECT_EQ(std::get<0>(a.pending), std::get<0>(b.pending));
+  EXPECT_EQ(std::get<1>(a.pending), std::get<1>(b.pending));
 }
 
 void ExpectEqual(const BinChunk& a, const BinChunk& b) {
@@ -364,9 +364,10 @@ std::vector<std::vector<uint8_t>> Frames(const BinT& bin, size_t chunk_bytes) {
   return out;
 }
 
-// Chunked extraction/absorption of a randomized BinaryBin must rebuild an
-// identical bin at every chunk size, and a corrupted chunk payload must
-// fail with SerdeError rather than UB (S decodes chunks from the wire).
+// Chunked extraction/absorption of a randomized two-input bin must
+// rebuild an identical bin at every chunk size, and a corrupted chunk
+// payload must fail with SerdeError rather than UB (S decodes chunks from
+// the wire).
 TEST(SerdeFuzz, ChunkedBinaryBinRebuildAndCorruption) {
   Xoshiro256 rng(13);
   for (int i = 0; i < 60; ++i) {

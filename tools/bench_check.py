@@ -10,6 +10,19 @@ Modes, combinable:
       timeline aggregated from every launched process
       (processes_reporting == the report's "processes").
 
+  --headline FILE [FILE ...]
+      The paper's headline ordering on fig-1 reports (megabench --fig=1):
+      the fluid and optimized variants' max_latency_during_migration_ms
+      must be at most the all-at-once variant's divided by
+      HEADLINE_FACTOR (2). The ordering shows only where moving the
+      state costs more than scheduler noise: with a 16M-key domain
+      (32 MB migrating) on a 4-vCPU VM, 20 runs read all-at-once/fluid
+      and all-at-once/optimized ratios of 3.2-17.8 at 1 process and
+      6.3-15.2 at 2, while a fluid strategy that ships every bin in one
+      batch reads about 1. At the 64K-key sizing of the other fig-1
+      smoke runs the state is 512 KB and the ratios scatter from 0.03 to
+      6, so those reports are not gated on it.
+
   --steady FILE --baseline BENCH_PR2.json [--min-ratio R]
       Regression gate: compare the current steady-throughput suite run
       against the committed baseline's post_recs_per_sec for matching row
@@ -85,6 +98,39 @@ import sys
 def fail(msg: str) -> None:
     print(f"bench_check: FAIL: {msg}")
     sys.exit(1)
+
+
+# Fig. 1's claim: fluid and optimized migration keep the max latency
+# during migration at a fraction of all-at-once's.
+HEADLINE_FACTOR = 2.0
+
+
+def check_headline(path: str) -> None:
+    """Gate a fig-1 report on the paper's latency ordering."""
+    with open(path) as f:
+        report = json.load(f)
+    if report.get("fig") != 1:
+        fail(f"{path}: not a fig-1 report")
+    by_strategy = {v.get("strategy"): v for v in report.get("variants", [])}
+    key = "max_latency_during_migration_ms"
+    for name in ("all-at-once", "fluid", "optimized"):
+        if key not in by_strategy.get(name, {}):
+            fail(f"{path}: no {name} variant with a migration max latency")
+    base_ms = float(by_strategy["all-at-once"][key])
+    limit = base_ms / HEADLINE_FACTOR
+    for name in ("fluid", "optimized"):
+        ms = float(by_strategy[name][key])
+        if ms > limit:
+            fail(
+                f"{path}: {name} max latency during migration {ms:.2f} ms "
+                f"is above all-at-once's {base_ms:.2f} ms / "
+                f"{HEADLINE_FACTOR:g} = {limit:.2f} ms (fig. 1 ordering)"
+            )
+    print(
+        f"bench_check: OK: {path}: fluid and optimized max latency during "
+        f"migration at most all-at-once's {base_ms:.2f} ms / "
+        f"{HEADLINE_FACTOR:g}"
+    )
 
 
 def check_report(path: str) -> None:
@@ -376,6 +422,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--report", nargs="+", default=[],
                     help="merged figure reports to sanity-check")
+    ap.add_argument("--headline", nargs="+", default=[],
+                    help="fig-1 reports to gate on the latency ordering")
     ap.add_argument("--steady", help="current steady-suite JSON")
     ap.add_argument("--baseline", help="committed BENCH_*.json baseline")
     ap.add_argument("--min-ratio", type=float, default=0.15,
@@ -408,14 +456,17 @@ def main() -> None:
                          "bound (default 20 ms)")
     args = ap.parse_args()
 
-    if (not args.report and not args.steady and not args.max_latency
-            and not args.recovery and not args.adaptive
-            and not args.rss_bound and not args.chunk_frames):
-        ap.error("nothing to check: pass --report, --steady, --max-latency, "
-                 "--recovery, --adaptive, --chunk-frames and/or "
-                 "--rss-bound")
+    if (not args.report and not args.headline and not args.steady
+            and not args.max_latency and not args.recovery
+            and not args.adaptive and not args.rss_bound
+            and not args.chunk_frames):
+        ap.error("nothing to check: pass --report, --headline, --steady, "
+                 "--max-latency, --recovery, --adaptive, --chunk-frames "
+                 "and/or --rss-bound")
     for path in args.report:
         check_report(path)
+    for path in args.headline:
+        check_headline(path)
     if args.max_latency:
         check_max_latency(args.max_latency, args.max_latency_margin,
                           args.max_latency_floor_ms)
