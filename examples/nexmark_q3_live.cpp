@@ -13,6 +13,7 @@
 
 #include "harness/launcher.hpp"
 #include "harness/nexmark_workload.hpp"
+#include "harness/report.hpp"
 
 using namespace megaphone;
 

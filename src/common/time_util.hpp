@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 namespace megaphone {
 
@@ -14,32 +13,5 @@ inline uint64_t NowNanos() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-inline void SleepNanos(uint64_t ns) {
-  std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
-}
-
-/// Abstract clock so tests can drive time deterministically.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  virtual uint64_t Nanos() = 0;
-};
-
-class SteadyClock final : public Clock {
- public:
-  uint64_t Nanos() override { return NowNanos(); }
-};
-
-/// Manually advanced clock for tests.
-class ManualClock final : public Clock {
- public:
-  uint64_t Nanos() override { return now_; }
-  void Advance(uint64_t ns) { now_ += ns; }
-  void Set(uint64_t ns) { now_ = ns; }
-
- private:
-  uint64_t now_ = 0;
-};
 
 }  // namespace megaphone

@@ -13,11 +13,13 @@
 //
 // Reports: the classic text tables print to stdout (same format as the
 // original fig binaries), and one merged JSON report is written to
-// --out (default megabench_figN.json). Schema, per variant: label,
-// strategy, steady percentiles, achieved rate, latency timeline rows,
-// per-migration {start_sec, end_sec, duration_sec, max_latency_ms,
-// batches}, and max_latency_during_migration_ms; overhead figures carry
-// per-record percentiles + CCDF instead of timelines.
+// --out (default megabench_figN.json). Every open-loop figure (1, 5-12,
+// 22, 24, 25) writes one common block per variant, BeginVariant below:
+// label, strategy, processes_reporting, records or events sent, steady
+// percentiles, migration windows with max_latency_during_migration_ms,
+// latency timeline rows and RSS; a figure adds only its own keys.
+// Overhead figures carry per-record percentiles + CCDF instead of
+// timelines. README.md lists the schema.
 #pragma once
 
 #include <stdlib.h>
@@ -32,8 +34,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -100,25 +104,24 @@ class BenchProcs {
   /// children never return; manual mode: process 0 only).
   bool IsRoot() const { return !manual_ || manual_cfg_.process_index == 0; }
 
-  CountBenchResult RunCount(const CountBenchConfig& cfg) {
+  /// Runs one open-loop variant (a CountBenchConfig or a
+  /// NexmarkBenchConfig) under this topology.
+  template <typename Cfg>
+  auto Run(const Cfg& cfg) {
     MEGA_CHECK_EQ(cfg.workers, total_workers());
     TrimHeap();
-    if (manual_) return RunCountBench(cfg, manual_cfg_);
-    if (processes_ <= 1) return RunCountBench(cfg);
+    auto run = [&](const timely::Config& tc) {
+      if constexpr (std::is_same_v<Cfg, CountBenchConfig>) {
+        return RunCountBench(cfg, tc);
+      } else {
+        return RunNexmarkBench(cfg, tc);
+      }
+    };
+    if (manual_) return run(manual_cfg_);
+    if (processes_ <= 1) return run(timely::Config{cfg.workers});
     return RunForked(processes_, workers_, [&](timely::Config tc) {
       tc.fault = fault_;
-      return RunCountBench(cfg, tc);
-    });
-  }
-
-  NexmarkBenchResult RunNexmark(const NexmarkBenchConfig& cfg) {
-    MEGA_CHECK_EQ(cfg.workers, total_workers());
-    TrimHeap();
-    if (manual_) return RunNexmarkBench(cfg, manual_cfg_);
-    if (processes_ <= 1) return RunNexmarkBench(cfg);
-    return RunForked(processes_, workers_, [&](timely::Config tc) {
-      tc.fault = fault_;
-      return RunNexmarkBench(cfg, tc);
+      return run(tc);
     });
   }
 
@@ -183,7 +186,6 @@ inline void Ccdf_(JsonWriter& j, const Histogram& h) {
 /// observed (across every process) during any migration window.
 inline void Migrations(JsonWriter& j,
                        const std::vector<MigrationStats>& migs) {
-  double overall = 0;
   j.Key("migrations").BeginArray();
   for (const auto& m : migs) {
     j.BeginObject();
@@ -195,10 +197,9 @@ inline void Migrations(JsonWriter& j,
     j.Key("chunk_frames").Value(m.chunk_frames);
     j.Key("chunk_bytes").Value(m.chunk_bytes);
     j.EndObject();
-    overall = std::max(overall, m.max_ms);
   }
   j.EndArray();
-  j.Key("max_latency_during_migration_ms").Value(overall);
+  j.Key("max_latency_during_migration_ms").Value(MaxDuringMigration(migs));
 }
 
 /// Per-process RSS samples pooled on one time axis, plus the peak. Every
@@ -216,6 +217,36 @@ inline void Rss_(JsonWriter& j, const std::vector<RssSample>& rss) {
   }
   j.EndArray();
   j.Key("peak_rss_bytes").Value(peak);
+}
+
+/// Opens one open-loop variant's report object with the keys every such
+/// figure shares: label, strategy, processes_reporting, what was sent
+/// (count: records_sent and achieved_rate_per_s; NEXMark: events_sent
+/// and outputs), the steady summary, the migration windows (skipped
+/// without a strategy: the native panel cannot migrate), the timeline
+/// and RSS. The caller adds its own keys and closes the object.
+template <typename Result>
+void BeginVariant(JsonWriter& j, const char* label,
+                  std::optional<MigrationStrategy> strategy,
+                  const Result& r) {
+  j.BeginObject();
+  j.Key("label").Value(label);
+  j.Key("strategy").Value(strategy ? StrategyName(*strategy) : "none");
+  j.Key("processes_reporting").Value(static_cast<uint64_t>(r.shards.size()));
+  if constexpr (std::is_same_v<Result, CountBenchResult>) {
+    j.Key("records_sent").Value(r.records_sent);
+    j.Key("achieved_rate_per_s")
+        .Value(r.duration_sec > 0
+                   ? static_cast<double>(r.records_sent) / r.duration_sec
+                   : 0.0);
+  } else {
+    j.Key("events_sent").Value(r.records_sent);
+    j.Key("outputs").Value(r.outputs);
+  }
+  HistSummary(j, "steady", r.steady);
+  if (strategy) Migrations(j, r.migrations);
+  Timeline_(j, r.timeline);
+  Rss_(j, r.rss_samples);
 }
 
 }  // namespace benchjson
@@ -303,38 +334,18 @@ inline void RunFig01(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     cfg.strategy = v.strategy;
     cfg.migrations.push_back(
         {migrate_at, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
-    auto r = procs.RunCount(cfg);
+    auto r = procs.Run(cfg);
     if (!r.root) continue;
     PrintTimeline(v.label, r.timeline);
     PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
     std::printf("# %s: steady p99 = %.3f ms\n\n", v.label,
                 static_cast<double>(r.steady.Quantile(0.99)) * 1e-6);
-    double m = 0;
-    for (const auto& ms : r.migrations) m = std::max(m, ms.max_ms);
-    max_ms.emplace_back(v.label, m);
-
-    j.BeginObject();
-    j.Key("label").Value(v.label);
-    j.Key("strategy").Value(StrategyName(v.strategy));
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("records_sent").Value(r.records_sent);
-    j.Key("achieved_rate_per_s")
-        .Value(r.duration_sec > 0
-                   ? static_cast<double>(r.records_sent) / r.duration_sec
-                   : 0.0);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
+    max_ms.emplace_back(v.label, MaxDuringMigration(r.migrations));
+    benchjson::BeginVariant(j, v.label, v.strategy, r);
     j.EndObject();
   }
   j.EndArray();
-
-  std::printf("# summary (max latency during migration, ms)\n");
-  for (const auto& [label, m] : max_ms) {
-    std::printf("%-14s %12.3f\n", label, m);
-  }
+  PrintMaxSummary(max_ms);
 }
 
 // -------------------------------------------------------- nexmark figs
@@ -400,7 +411,7 @@ inline void RunNexmarkFig(BenchProcs& procs, const Flags& flags, int q,
     NexmarkBenchConfig run = base;
     run.strategy = v.strategy;
     run.migrations = {{mig1, imbalanced}, {mig2, balanced}};
-    auto r = procs.RunNexmark(run);
+    auto r = procs.Run(run);
     if (!r.root) continue;
     PrintTimeline(v.label, r.timeline);
     PrintMigrationSummary(v.label, base.qcfg.num_bins, "bins",
@@ -408,42 +419,20 @@ inline void RunNexmarkFig(BenchProcs& procs, const Flags& flags, int q,
     std::printf("# %s: outputs=%llu steady p99=%.3f ms\n\n", v.label,
                 static_cast<unsigned long long>(r.outputs),
                 static_cast<double>(r.steady.Quantile(0.99)) * 1e-6);
-    double m = 0;
-    for (const auto& ms : r.migrations) m = std::max(m, ms.max_ms);
-    max_ms.emplace_back(v.label, m);
-
-    j.BeginObject();
-    j.Key("label").Value(v.label);
-    j.Key("strategy").Value(StrategyName(v.strategy));
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("events_sent").Value(r.events_sent);
-    j.Key("outputs").Value(r.outputs);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
+    max_ms.emplace_back(v.label, MaxDuringMigration(r.migrations));
+    benchjson::BeginVariant(j, v.label, v.strategy, r);
     j.EndObject();
   }
   if (with_native && NativeEnabled(flags)) {
     NexmarkBenchConfig run = base;
     run.use_megaphone = false;
-    auto r = procs.RunNexmark(run);
+    auto r = procs.Run(run);
     if (r.root) {
       PrintTimeline("native", r.timeline);
       std::printf("# native: outputs=%llu steady p99=%.3f ms\n\n",
                   static_cast<unsigned long long>(r.outputs),
                   static_cast<double>(r.steady.Quantile(0.99)) * 1e-6);
-      j.BeginObject();
-      j.Key("label").Value("native");
-      j.Key("strategy").Value("none");
-      j.Key("processes_reporting").Value(
-          static_cast<uint64_t>(r.shards.size()));
-      j.Key("events_sent").Value(r.events_sent);
-      j.Key("outputs").Value(r.outputs);
-      benchjson::HistSummary(j, "steady", r.steady);
-      benchjson::Timeline_(j, r.timeline);
-      benchjson::Rss_(j, r.rss_samples);
+      benchjson::BeginVariant(j, "native", std::nullopt, r);
       j.EndObject();
     }
   }
@@ -514,13 +503,13 @@ inline void RunOverheadFig(BenchProcs& procs, const Flags& flags, int fig,
     CountBenchConfig cfg = base;
     cfg.num_bins = 1u << lb;
     if (cfg.num_bins > cfg.domain) continue;
-    auto r = procs.RunCount(cfg);
+    auto r = procs.Run(cfg);
     if (r.root) add_row(std::to_string(lb), cfg.num_bins, r);
   }
   if (NativeEnabled(flags)) {
     CountBenchConfig cfg = base;
     cfg.mode = native_mode;
-    auto r = procs.RunCount(cfg);
+    auto r = procs.Run(cfg);
     if (r.root) add_row("Native", 0, r);
   }
   j.EndArray();
@@ -603,7 +592,7 @@ inline void RunSweepFig(BenchProcs& procs, const Flags& flags, int fig,
       cfg.migrations.push_back(
           {migrate_at,
            MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
-      auto r = procs.RunCount(cfg);
+      auto r = procs.Run(cfg);
       if (!r.root) continue;
       PrintMigrationSummary(StrategyName(strat), p,
                             fig == 17 ? "domain" : "bins", r.migrations);
@@ -678,7 +667,7 @@ inline void RunFig19(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
              MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
       }
       cfg.strategy = v.strategy;
-      auto r = procs.RunCount(cfg);
+      auto r = procs.Run(cfg);
       if (!r.root) continue;
       double max_s =
           static_cast<double>(r.timeline.MaxIn(0, ~uint64_t{0})) * 1e-9;
@@ -739,7 +728,7 @@ inline void RunFig20(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     cfg.migrations.push_back(
         {cfg.duration_ms * 5 / 8,
          MakeInitialAssignment(cfg.num_bins, cfg.workers)});
-    auto r = procs.RunCount(cfg);
+    auto r = procs.Run(cfg);
     if (!r.root) continue;
     std::printf("# rss %s\n%10s %14s\n", StrategyName(strat), "time_s",
                 "rss_mb");
@@ -821,48 +810,28 @@ inline void RunFig22(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   std::vector<std::pair<const char*, double>> max_ms;
   j.Key("variants").BeginArray();
   for (const auto& v : variants) {
-    std::string want = flags.GetStr("strategy", "all");
-    if (want != "all" && want != v.label) continue;
+    if (!VariantEnabled(flags, v.label, base.strategy)) continue;
     CountBenchConfig cfg = base;
     cfg.chunk_bytes = v.chunk_bytes;
     cfg.chunk_bytes_per_step = v.chunk_bytes == 0 ? 0 : chunk_step;
     cfg.migrations.push_back(
         {migrate_at, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
-    auto r = procs.RunCount(cfg);
+    auto r = procs.Run(cfg);
     if (!r.root) continue;
     PrintTimeline(v.label, r.timeline);
     PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
-    double m = 0;
-    for (const auto& ms : r.migrations) m = std::max(m, ms.max_ms);
+    const double m = MaxDuringMigration(r.migrations);
     max_ms.emplace_back(v.label, m);
     std::printf("# %s: steady p99 = %.3f ms, max during migration = "
                 "%.3f ms\n\n",
                 v.label,
                 static_cast<double>(r.steady.Quantile(0.99)) * 1e-6, m);
-
-    j.BeginObject();
-    j.Key("label").Value(v.label);
-    j.Key("strategy").Value(StrategyName(cfg.strategy));
+    benchjson::BeginVariant(j, v.label, cfg.strategy, r);
     j.Key("chunk_bytes").Value(v.chunk_bytes);
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("records_sent").Value(r.records_sent);
-    j.Key("achieved_rate_per_s")
-        .Value(r.duration_sec > 0
-                   ? static_cast<double>(r.records_sent) / r.duration_sec
-                   : 0.0);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
     j.EndObject();
   }
   j.EndArray();
-
-  std::printf("# summary (max latency during migration, ms)\n");
-  for (const auto& [label, m] : max_ms) {
-    std::printf("%-14s %12.3f\n", label, m);
-  }
+  PrintMaxSummary(max_ms);
 }
 
 // ---------------------------------------------- fig 24 (adaptive drill)
@@ -949,7 +918,7 @@ inline void RunFig24(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     if (want != "all" && want != v.label) continue;
     CountBenchConfig cfg = base;
     cfg.adaptive = v.adaptive;
-    auto r = procs.RunCount(cfg);
+    auto r = procs.Run(cfg);
     if (!r.root) continue;
 
     const uint64_t flip_ns = cfg.flip_at_ms * 1'000'000;
@@ -969,26 +938,13 @@ inline void RunFig24(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
                 "post p99=%.3f ms\n\n",
                 v.label, r.plans_issued, r.reaction_ms, pre_p99, post_p99);
 
-    j.BeginObject();
-    j.Key("label").Value(v.label);
-    j.Key("strategy").Value(StrategyName(cfg.strategy));
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("records_sent").Value(r.records_sent);
-    j.Key("achieved_rate_per_s")
-        .Value(r.duration_sec > 0
-                   ? static_cast<double>(r.records_sent) / r.duration_sec
-                   : 0.0);
+    benchjson::BeginVariant(j, v.label, cfg.strategy, r);
     j.Key("plans_issued").Value(static_cast<uint64_t>(r.plans_issued));
     j.Key("reaction_ms").Value(r.reaction_ms);
     j.Key("flip_sec").Value(r.flip_sec);
     j.Key("rebalanced_sec").Value(r.rebalanced_sec);
     benchjson::HistSummary(j, "pre_flip", pre);
     benchjson::HistSummary(j, "post_rebalance", post);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
     j.EndObject();
   }
   j.EndArray();
@@ -1070,21 +1026,18 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
 
   j.Key("variants").BeginArray();
   for (const auto& v : variants) {
-    std::string want = flags.GetStr("strategy", "all");
-    if (want != "all" && want != v.label) continue;
+    if (!VariantEnabled(flags, v.label, base.strategy)) continue;
     CountBenchConfig cfg = base;
     cfg.mode = v.mode;
     if (v.mode == CountMode::kSpillCount) cfg.state_dir = spill_dir;
     cfg.migrations.push_back(
         {migrate_at, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
-    auto r = procs.RunCount(cfg);
+    auto r = procs.Run(cfg);
     if (!r.root) continue;
     uint64_t peak = 0;
     for (const auto& [t, bytes] : r.rss_samples) {
       peak = std::max(peak, bytes);
     }
-    double m = 0;
-    for (const auto& ms : r.migrations) m = std::max(m, ms.max_ms);
     PrintTimeline(v.label, r.timeline);
     PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
     std::printf("# %s: peak rss = %llu MB (cap %llu MB%s), max during "
@@ -1094,23 +1047,9 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
                 v.mode == CountMode::kSpillCount
                     ? (peak <= rss_cap ? ", UNDER" : ", OVER")
                     : "",
-                m);
-
-    j.BeginObject();
-    j.Key("label").Value(v.label);
-    j.Key("strategy").Value(StrategyName(cfg.strategy));
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    j.Key("records_sent").Value(r.records_sent);
-    j.Key("achieved_rate_per_s")
-        .Value(r.duration_sec > 0
-                   ? static_cast<double>(r.records_sent) / r.duration_sec
-                   : 0.0);
+                MaxDuringMigration(r.migrations));
+    benchjson::BeginVariant(j, v.label, cfg.strategy, r);
     j.Key("under_rss_cap").Value(peak <= rss_cap);
-    benchjson::HistSummary(j, "steady", r.steady);
-    benchjson::Migrations(j, r.migrations);
-    benchjson::Timeline_(j, r.timeline);
-    benchjson::Rss_(j, r.rss_samples);
     j.EndObject();
   }
   j.EndArray();

@@ -6,10 +6,9 @@
 // what the paper's cluster runs see). At shutdown every process encodes
 // its observations into a BenchShard and ships it over the dataflow to
 // global worker 0 — the wire serde path below — where the shards merge
-// into the single report the figure benches print.
+// (harness/open_loop.hpp) into the single report the figure benches print.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -33,30 +32,15 @@ struct MigrationStats {
   uint64_t chunk_frames = 0;
   uint64_t chunk_bytes = 0;
 
-  void Serialize(Writer& w) const {
-    Encode(w, start_sec);
-    Encode(w, end_sec);
-    Encode(w, max_ms);
-    Encode(w, static_cast<uint64_t>(batches));
-    Encode(w, chunk_frames);
-    Encode(w, chunk_bytes);
-  }
-  static MigrationStats Deserialize(Reader& r) {
-    MigrationStats ms;
-    ms.start_sec = Decode<double>(r);
-    ms.end_sec = Decode<double>(r);
-    ms.max_ms = Decode<double>(r);
-    ms.batches = static_cast<size_t>(Decode<uint64_t>(r));
-    ms.chunk_frames = Decode<uint64_t>(r);
-    ms.chunk_bytes = Decode<uint64_t>(r);
-    return ms;
-  }
+  MEGA_SERDE_FIELDS(MigrationStats, start_sec, end_sec, max_ms, batches,
+                    chunk_frames, chunk_bytes)
 };
 
-/// One process's share of a bench run's measurements.
 /// One (elapsed seconds, resident-set bytes) sample of a process's RSS.
 using RssSample = std::pair<double, uint64_t>;
 
+/// One process's share of a bench run's measurements (harness/open_loop.hpp
+/// records and merges them).
 struct BenchShard {
   uint32_t process_index = 0;
   Timeline timeline{250'000'000};
@@ -70,95 +54,9 @@ struct BenchShard {
   /// not just the paper's Fig. 20 — the spill backend's gate needs it).
   std::vector<RssSample> rss;
 
-  void Serialize(Writer& w) const {
-    Encode(w, process_index);
-    Encode(w, timeline);
-    Encode(w, per_record);
-    Encode(w, steady);
-    Encode(w, migrations);
-    Encode(w, outputs);
-    Encode(w, records_sent);
-    Encode(w, duration_sec);
-    Encode(w, rss);
-  }
-  static BenchShard Deserialize(Reader& r) {
-    BenchShard s;
-    s.process_index = Decode<uint32_t>(r);
-    s.timeline = Decode<Timeline>(r);
-    s.per_record = Decode<Histogram>(r);
-    s.steady = Decode<Histogram>(r);
-    s.migrations = Decode<std::vector<MigrationStats>>(r);
-    s.outputs = Decode<uint64_t>(r);
-    s.records_sent = Decode<uint64_t>(r);
-    s.duration_sec = Decode<double>(r);
-    s.rss = Decode<std::vector<RssSample>>(r);
-    return s;
-  }
+  MEGA_SERDE_FIELDS(BenchShard, process_index, timeline, per_record, steady,
+                    migrations, outputs, records_sent, duration_sec, rss)
 };
-
-namespace detail {
-
-/// Pools per-process shards into one merged report. Timelines and
-/// histograms merge sample-by-sample; `records`/`outputs` sum and
-/// `duration` takes the max across processes (null pointers skip a
-/// field). Migration windows come from process 0 (all processes observe
-/// the same controller schedule) with each window's max latency
-/// recomputed over the *merged* timeline, so a spike seen only by a
-/// remote process still registers, and each window's chunk traffic summed
-/// over every process's shard. Shards are sorted by process index.
-inline void MergeShardsInto(std::vector<BenchShard>& shards,
-                            Timeline* timeline, Histogram* per_record,
-                            Histogram* steady,
-                            std::vector<MigrationStats>* migrations,
-                            uint64_t* records, uint64_t* outputs,
-                            double* duration,
-                            std::vector<RssSample>* rss = nullptr) {
-  std::sort(shards.begin(), shards.end(),
-            [](const BenchShard& a, const BenchShard& b) {
-              return a.process_index < b.process_index;
-            });
-  for (auto& s : shards) {
-    if (timeline) timeline->Merge(s.timeline);
-    if (per_record) per_record->Merge(s.per_record);
-    if (steady) steady->Merge(s.steady);
-    if (records) *records += s.records_sent;
-    if (outputs) *outputs += s.outputs;
-    if (duration) *duration = std::max(*duration, s.duration_sec);
-    if (migrations && s.process_index == 0) *migrations = s.migrations;
-    if (rss) rss->insert(rss->end(), s.rss.begin(), s.rss.end());
-  }
-  if (rss) {
-    // All processes' samples pooled on one time axis (per-process RSS,
-    // interleaved). Stable so equal timestamps keep process order.
-    std::stable_sort(rss->begin(), rss->end(),
-                     [](const RssSample& a, const RssSample& b) {
-                       return a.first < b.first;
-                     });
-  }
-  if (migrations) {
-    // Chunk traffic is observed per process; windows line up across
-    // shards because every process runs the same controller schedule.
-    for (auto& s : shards) {
-      if (s.process_index == 0) continue;
-      for (size_t i = 0;
-           i < migrations->size() && i < s.migrations.size(); ++i) {
-        (*migrations)[i].chunk_frames += s.migrations[i].chunk_frames;
-        (*migrations)[i].chunk_bytes += s.migrations[i].chunk_bytes;
-      }
-    }
-  }
-  if (migrations && timeline) {
-    for (auto& ms : *migrations) {
-      ms.max_ms = static_cast<double>(timeline->MaxIn(
-                      static_cast<uint64_t>(ms.start_sec * 1e9),
-                      static_cast<uint64_t>(ms.end_sec * 1e9) +
-                          500'000'000)) *
-                  1e-6;
-    }
-  }
-}
-
-}  // namespace detail
 
 /// A side channel in the bench dataflow that carries encoded BenchShards
 /// to global worker 0. Every worker holds the input handle (and must

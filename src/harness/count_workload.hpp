@@ -12,9 +12,10 @@
 //     LogState: the fig. 25 memory-bound pair.
 //
 // The driver is open-loop: records are injected at their scheduled wall
-// deadline regardless of system responsiveness, per-epoch completion is
-// observed through a probe on the operator output, and latencies are
-// recorded into 250 ms timeline buckets — precisely the paper's harness.
+// deadline regardless of system responsiveness, and per-epoch completion
+// is observed through a probe on the operator output. What counts as a
+// latency sample, a migration window and steady state is defined once,
+// in harness/open_loop.hpp, which the NEXMark driver shares.
 #pragma once
 
 #include <atomic>
@@ -26,6 +27,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -34,8 +36,7 @@
 #include "common/rate_limiter.hpp"
 #include "common/time_util.hpp"
 #include "harness/bench_shard.hpp"
-#include "harness/histogram.hpp"
-#include "harness/rss.hpp"
+#include "harness/open_loop.hpp"
 #include "megaphone/megaphone.hpp"
 #include "state/checkpoint.hpp"
 #include "timely/timely.hpp"
@@ -124,25 +125,11 @@ struct CountBenchConfig {
   uint32_t flip_prob_pct = 90;
 };
 
-struct CountBenchResult {
-  Timeline timeline{250'000'000};
-  Histogram per_record;  // per-record latency, steady state and migration
-  Histogram steady;      // samples outside migration windows
-  std::vector<MigrationStats> migrations;
-  /// (t_sec, bytes) RSS samples pooled over every process's shard.
-  std::vector<RssSample> rss_samples;
-  uint64_t records_sent = 0;
-  double duration_sec = 0;
-  /// True iff this process hosts global worker 0; only then are the
-  /// merged metrics above populated.
-  bool root = true;
-  /// Per-process shards the merged metrics were pooled from (root only).
-  std::vector<BenchShard> shards;
-
+struct CountBenchResult : OpenLoopResult {
   /// Adaptive-controller outcome (root only; -1 = not observed). The
   /// reaction time runs from the hot-key flip to the first autonomously
-  /// scheduled plan; `rebalanced_sec` marks when the last migration the
-  /// policy issued finished draining.
+  /// scheduled plan; `rebalanced_sec` is the end of the last migration
+  /// window, once the policy has issued a plan.
   double reaction_ms = -1;
   double flip_sec = -1;
   double rebalanced_sec = -1;
@@ -228,14 +215,8 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
   // the process-global options at construction, so the spill knobs must
   // be published before any worker thread builds a dataflow.
   if (cfg.mode == CountMode::kSpillCount) {
-    state::LogStateOptions& o = state::GlobalLogStateOptions();
-    if (!cfg.state_dir.empty()) o.dir = cfg.state_dir;
-    if (cfg.spill_memtable_bytes != 0) {
-      o.memtable_bytes = cfg.spill_memtable_bytes;
-    }
-    if (cfg.spill_segment_bytes != 0) {
-      o.segment_bytes = cfg.spill_segment_bytes;
-    }
+    state::PublishLogStateOptions(cfg.state_dir, cfg.spill_memtable_bytes,
+                                  cfg.spill_segment_bytes);
   }
 
   timely::Execute(tcfg, [&](Worker& w) {
@@ -411,22 +392,12 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
                            cfg.mode == CountMode::kPadCount ||
                            cfg.mode == CountMode::kSpillCount;
     double reaction_ms = -1;
-    double rebalanced_sec = -1;
 
-    // Per-process measurement state, owned by the local root worker.
-    Timeline timeline(250'000'000);
-    Histogram per_record, steady;
-    std::vector<MigrationStats> mig_stats;
-    std::vector<std::pair<double, uint64_t>> rss;
-    bool was_migrating = false;
-    size_t batches_before = 0;
-    uint64_t chunk_frames_before = 0;  // chunk_counters() at window start
-    uint64_t chunk_bytes_before = 0;
-    uint64_t next_ack = 1;       // next epoch awaiting completion
-    uint64_t next_tick = 0;      // next 250 ms observation boundary
-    const uint64_t weight =
+    // Each sample stands for one epoch's worth of records.
+    OpenLoopRecorder rec(
+        start, cfg.epoch_ns,
         std::max<uint64_t>(1, static_cast<uint64_t>(cfg.rate * 1e-9 *
-                                                    cfg.epoch_ns));
+                                                    cfg.epoch_ns)));
 
     uint64_t cur_epoch = 1;
     uint64_t sent = w.index();  // global record index, strided by worker
@@ -491,49 +462,9 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
       std::this_thread::yield();
 
       if (w.IsLocalRoot()) {
-        // Epoch completions -> latency samples.
-        while (next_ack < cur_epoch && !probe.LessEqual(next_ack)) {
-          uint64_t deadline = start + next_ack * cfg.epoch_ns;
-          uint64_t lat = now > deadline ? now - deadline : 0;
-          timeline.Add(now - start, lat, 1);
-          per_record.Add(lat, weight);
-          if (!controller.Migrating()) steady.Add(lat, weight);
-          next_ack++;
-        }
-        if (now - start >= next_tick) {
-          // Outstanding (not yet completed) work also registers latency,
-          // so stalls are visible while they happen.
-          if (next_ack < cur_epoch) {
-            uint64_t deadline = start + next_ack * cfg.epoch_ns;
-            if (now > deadline) timeline.Add(now - start, now - deadline, 1);
-          }
-          rss.emplace_back(static_cast<double>(now - start) * 1e-9,
-                           CurrentRssBytes());
-          next_tick += 250'000'000;
-        }
-        bool migrating = controller.Migrating();
-        if (migrating && !was_migrating) {
-          MigrationStats ms;
-          ms.start_sec = static_cast<double>(now - start) * 1e-9;
-          ms.batches = controller.completed_batches() - batches_before;
-          mig_stats.push_back(ms);
-          chunk_frames_before = chunk_counters().frames.load();
-          chunk_bytes_before = chunk_counters().bytes.load();
-        }
-        if (!migrating && was_migrating && !mig_stats.empty()) {
-          mig_stats.back().end_sec = static_cast<double>(now - start) * 1e-9;
-          mig_stats.back().batches =
-              controller.completed_batches() - batches_before;
-          batches_before = controller.completed_batches();
-          mig_stats.back().chunk_frames =
-              chunk_counters().frames.load() - chunk_frames_before;
-          mig_stats.back().chunk_bytes =
-              chunk_counters().bytes.load() - chunk_bytes_before;
-          if (actrl && !actrl->plans().empty()) {
-            rebalanced_sec = static_cast<double>(now - start) * 1e-9;
-          }
-        }
-        was_migrating = migrating;
+        rec.Observe(
+            now, cur_epoch, [&](uint64_t e) { return !probe.LessEqual(e); },
+            controller.Migrating(), controller.completed_batches());
       }
     }
 
@@ -547,45 +478,10 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
       // requires every process's inputs closed, so by the time it holds
       // all local workers have added to total_sent.
       w.StepUntil([&] { return probe.Done(); });
-      uint64_t now = NowNanos();
-      while (next_ack <= cur_epoch) {
-        uint64_t deadline = start + next_ack * cfg.epoch_ns;
-        if (now > deadline) {
-          timeline.Add(now - start, now - deadline, 1);
-          per_record.Add(now - deadline, weight);
-        }
-        next_ack++;
-      }
-      if (was_migrating && !mig_stats.empty() &&
-          mig_stats.back().end_sec == 0) {
-        // The run ended mid-migration; the epilogue drain completed it.
-        mig_stats.back().end_sec = static_cast<double>(now - start) * 1e-9;
-        mig_stats.back().batches =
-            controller.completed_batches() - batches_before;
-        mig_stats.back().chunk_frames =
-            chunk_counters().frames.load() - chunk_frames_before;
-        mig_stats.back().chunk_bytes =
-            chunk_counters().bytes.load() - chunk_bytes_before;
-        if (actrl && !actrl->plans().empty()) {
-          rebalanced_sec = static_cast<double>(now - start) * 1e-9;
-        }
-      }
-      for (auto& ms : mig_stats) {
-        ms.max_ms = static_cast<double>(timeline.MaxIn(
-                        static_cast<uint64_t>(ms.start_sec * 1e9),
-                        static_cast<uint64_t>(ms.end_sec * 1e9) +
-                            500'000'000)) *
-                    1e-6;
-      }
-      BenchShard shard;
+      BenchShard shard = rec.Finish(NowNanos(), cur_epoch,
+                                    controller.completed_batches());
       shard.process_index = tcfg.process_index;
-      shard.timeline = std::move(timeline);
-      shard.per_record = std::move(per_record);
-      shard.steady = std::move(steady);
-      shard.migrations = std::move(mig_stats);
       shard.records_sent = total_sent.load();
-      shard.duration_sec = static_cast<double>(now - start) * 1e-9;
-      shard.rss = std::move(rss);
       rep.Finish(shard);
       if (w.index() == 0) {
         std::lock_guard<std::mutex> lock(result_mu);
@@ -595,7 +491,6 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
           result.flip_sec = flip_ns == UINT64_MAX
                                 ? -1
                                 : static_cast<double>(flip_ns - start) * 1e-9;
-          result.rebalanced_sec = rebalanced_sec;
           result.plans_issued = actrl->plans().size();
           result.plans = actrl->plans();
         }
@@ -609,11 +504,10 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
     result.root = false;
     return result;
   }
-  result.shards = std::move(*root_shards);
-  detail::MergeShardsInto(result.shards, &result.timeline,
-                          &result.per_record, &result.steady,
-                          &result.migrations, &result.records_sent, nullptr,
-                          &result.duration_sec, &result.rss_samples);
+  detail::MergeShardsInto(std::move(*root_shards), &result);
+  if (result.plans_issued > 0 && !result.migrations.empty()) {
+    result.rebalanced_sec = result.migrations.back().end_sec;
+  }
   return result;
 }
 
@@ -764,11 +658,7 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
   // workers only ever read it).
   std::optional<state::CheckpointDirScope> ck_scope;
   if (cfg.backend == DetCountConfig::Backend::kLog) {
-    state::LogStateOptions& o = state::GlobalLogStateOptions();
-    if (!cfg.state_dir.empty()) o.dir = cfg.state_dir;
-    if (cfg.spill_memtable_bytes != 0) {
-      o.memtable_bytes = cfg.spill_memtable_bytes;
-    }
+    state::PublishLogStateOptions(cfg.state_dir, cfg.spill_memtable_bytes);
     if (ck_enabled) ck_scope.emplace(cfg.checkpoint_dir);
   }
 

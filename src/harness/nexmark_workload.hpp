@@ -7,9 +7,11 @@
 // and each process measures its own latency shard (against its tracker
 // replica, so serialization and wire delay are part of the record); the
 // shards ship to global worker 0 over the dataflow and merge into one
-// result. The deterministic Q3 harness at the bottom is the correctness
-// counterpart: a lockstep run whose output digest must be independent of
-// the process split, even with a migration mid-run.
+// result. The measurement itself (samples, migration windows, steady
+// state) is harness/open_loop.hpp's, shared with the count driver. The
+// deterministic Q3 harness at the bottom is the correctness counterpart:
+// a lockstep run whose output digest must be independent of the process
+// split, even with a migration mid-run.
 #pragma once
 
 #include <algorithm>
@@ -17,14 +19,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/rate_limiter.hpp"
 #include "common/time_util.hpp"
 #include "harness/bench_shard.hpp"
-#include "harness/histogram.hpp"
-#include "harness/report.hpp"
-#include "harness/rss.hpp"
+#include "harness/open_loop.hpp"
 #include "megaphone/megaphone.hpp"
 #include "nexmark/nexmark.hpp"
 #include "timely/timely.hpp"
@@ -50,20 +51,7 @@ struct NexmarkBenchConfig {
   size_t batch_size = 64;
 };
 
-struct NexmarkBenchResult {
-  Timeline timeline{250'000'000};
-  Histogram steady;
-  std::vector<MigrationStats> migrations;
-  /// (t_sec, bytes) RSS samples pooled over every process's shard.
-  std::vector<RssSample> rss_samples;
-  uint64_t outputs = 0;
-  uint64_t events_sent = 0;
-  /// True iff this process hosts global worker 0 (merged metrics live
-  /// here).
-  bool root = true;
-  /// Per-process shards the merged metrics were pooled from (root only).
-  std::vector<BenchShard> shards;
-};
+using NexmarkBenchResult = OpenLoopResult;
 
 namespace detail {
 
@@ -183,16 +171,7 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
         MakeInitialAssignment(cfg.qcfg.num_bins, cfg.workers);
     size_t next_mig = 0;
 
-    // Per-process measurement state, owned by the local root worker.
-    Timeline timeline(250'000'000);
-    Histogram steady;
-    std::vector<MigrationStats> mig_stats;
-    std::vector<RssSample> rss;
-    bool was_migrating = false;
-    size_t batches_before = 0;
-    uint64_t chunk_frames_before = 0;
-    uint64_t chunk_bytes_before = 0;
-    uint64_t next_ack = 1, next_tick = 0;
+    OpenLoopRecorder rec(start, 1'000'000, 1);  // 1 ms epochs
 
     uint64_t cur_epoch = 0;
     uint64_t idx = w.index();  // event index, strided by global worker
@@ -259,41 +238,9 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
       std::this_thread::yield();
 
       if (w.IsLocalRoot()) {
-        while (next_ack < cur_epoch && !probe.LessEqual(next_ack)) {
-          uint64_t deadline = start + next_ack * 1'000'000;
-          uint64_t lat = now > deadline ? now - deadline : 0;
-          timeline.Add(now - start, lat, 1);
-          if (!controller.Migrating()) steady.Add(lat);
-          next_ack++;
-        }
-        if (now - start >= next_tick) {
-          if (next_ack < cur_epoch) {
-            uint64_t deadline = start + next_ack * 1'000'000;
-            if (now > deadline) timeline.Add(now - start, now - deadline, 1);
-          }
-          rss.emplace_back(static_cast<double>(now - start) * 1e-9,
-                           CurrentRssBytes());
-          next_tick += 250'000'000;
-        }
-        bool migrating = controller.Migrating();
-        if (migrating && !was_migrating) {
-          MigrationStats ms;
-          ms.start_sec = static_cast<double>(now - start) * 1e-9;
-          mig_stats.push_back(ms);
-          chunk_frames_before = chunk_counters().frames.load();
-          chunk_bytes_before = chunk_counters().bytes.load();
-        }
-        if (!migrating && was_migrating && !mig_stats.empty()) {
-          mig_stats.back().end_sec = static_cast<double>(now - start) * 1e-9;
-          mig_stats.back().batches =
-              controller.completed_batches() - batches_before;
-          batches_before = controller.completed_batches();
-          mig_stats.back().chunk_frames =
-              chunk_counters().frames.load() - chunk_frames_before;
-          mig_stats.back().chunk_bytes =
-              chunk_counters().bytes.load() - chunk_bytes_before;
-        }
-        was_migrating = migrating;
+        rec.Observe(
+            now, cur_epoch, [&](uint64_t e) { return !probe.LessEqual(e); },
+            controller.Migrating(), controller.completed_batches());
       }
     }
 
@@ -308,38 +255,11 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
       // fully drained through the counting probe, so outputs/total_sent
       // are final when it holds.
       w.StepUntil([&] { return probe.Done(); });
-      uint64_t now = NowNanos();
-      while (next_ack <= cur_epoch) {
-        uint64_t deadline = start + next_ack * 1'000'000;
-        if (now > deadline) timeline.Add(now - start, now - deadline, 1);
-        next_ack++;
-      }
-      if (was_migrating && !mig_stats.empty() &&
-          mig_stats.back().end_sec == 0) {
-        mig_stats.back().end_sec = static_cast<double>(now - start) * 1e-9;
-        mig_stats.back().batches =
-            controller.completed_batches() - batches_before;
-        mig_stats.back().chunk_frames =
-            chunk_counters().frames.load() - chunk_frames_before;
-        mig_stats.back().chunk_bytes =
-            chunk_counters().bytes.load() - chunk_bytes_before;
-      }
-      for (auto& ms : mig_stats) {
-        ms.max_ms = static_cast<double>(timeline.MaxIn(
-                        static_cast<uint64_t>(ms.start_sec * 1e9),
-                        static_cast<uint64_t>(ms.end_sec * 1e9) +
-                            500'000'000)) *
-                    1e-6;
-      }
-      BenchShard shard;
+      BenchShard shard = rec.Finish(NowNanos(), cur_epoch,
+                                    controller.completed_batches());
       shard.process_index = tcfg.process_index;
-      shard.timeline = std::move(timeline);
-      shard.steady = std::move(steady);
-      shard.migrations = std::move(mig_stats);
       shard.outputs = outputs.load();
       shard.records_sent = total_sent.load();
-      shard.duration_sec = static_cast<double>(now - start) * 1e-9;
-      shard.rss = std::move(rss);
       rep.Finish(shard);
       if (w.index() == 0) {
         std::lock_guard<std::mutex> lock(result_mu);
@@ -354,11 +274,7 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
     result.root = false;
     return result;
   }
-  result.shards = std::move(*root_shards);
-  detail::MergeShardsInto(result.shards, &result.timeline, nullptr,
-                          &result.steady, &result.migrations,
-                          &result.events_sent, &result.outputs, nullptr,
-                          &result.rss_samples);
+  detail::MergeShardsInto(std::move(*root_shards), &result);
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/count_workload.hpp"
@@ -59,6 +60,16 @@ inline void PrintMigrationSummary(const char* strategy, uint64_t param,
                 strategy, static_cast<unsigned long long>(param), param_name,
                 i, migs[i].duration_sec(), migs[i].max_ms * 1e-3,
                 migs[i].batches);
+  }
+}
+
+/// The closing table of the migration figures: each variant's maximum
+/// latency during migration.
+inline void PrintMaxSummary(
+    const std::vector<std::pair<const char*, double>>& max_ms) {
+  std::printf("# summary (max latency during migration, ms)\n");
+  for (const auto& [label, m] : max_ms) {
+    std::printf("%-14s %12.3f\n", label, m);
   }
 }
 

@@ -97,25 +97,6 @@ struct Config {
   /// updates yet — restored runs resume with the checkpointed assignment
   /// and must not migrate at the minimum timestamp.
   std::vector<uint32_t> initial_owner;
-  /// Spill-to-disk knobs for operators whose declared state is a
-  /// LogState (state/log_state.hpp). Bin backends are default-constructed
-  /// deep inside the dataflow, so ApplySpillConfig() publishes these into
-  /// the process-global LogStateOptions — call it (or let the harness
-  /// entry points call it) on the driving thread before workers start.
-  /// `state_dir` is the segment-file root (empty = LogState's default);
-  /// `spill_memtable_bytes`/`spill_segment_bytes` override the memtable
-  /// flush threshold and segment cap when nonzero.
-  std::string state_dir;
-  uint64_t spill_memtable_bytes = 0;
-  uint64_t spill_segment_bytes = 0;
-
-  /// Publishes the spill knobs above into GlobalLogStateOptions().
-  void ApplySpillConfig() const {
-    state::LogStateOptions& o = state::GlobalLogStateOptions();
-    if (!state_dir.empty()) o.dir = state_dir;
-    if (spill_memtable_bytes != 0) o.memtable_bytes = spill_memtable_bytes;
-    if (spill_segment_bytes != 0) o.segment_bytes = spill_segment_bytes;
-  }
 
   uint64_t ChunkStepBudget() const {
     if (chunk_bytes_per_step != 0) return chunk_bytes_per_step;

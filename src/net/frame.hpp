@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/serde.hpp"
 
 namespace megaphone {
@@ -73,16 +74,11 @@ constexpr size_t kFrameHeaderCrcOffset = 36;
 /// far below what a corrupted length prefix could use to exhaust memory.
 constexpr uint64_t kMaxFramePayload = 1ull << 30;
 
-/// FNV-1a folded to 32 bits. Not cryptographic — it guards against
-/// injected corruption in tests and torn writes, not adversaries.
+/// FNV-1a folded to 32 bits (common/hash.hpp).
 inline uint32_t FrameChecksum(const uint8_t* data, size_t n) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  h ^= h >> 32;
-  return static_cast<uint32_t>(h);
+  Fnv1a h;
+  h.Update(data, n);
+  return h.Fold32();
 }
 
 inline void EncodeFrameHeader(uint8_t* out, const FrameHeader& h) {

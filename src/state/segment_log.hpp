@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/serde.hpp"
 
 namespace megaphone {
@@ -48,27 +49,6 @@ constexpr uint8_t kSegmentRecordTombstone = 2;
 /// u32 magic + u8 type + u64 key_len + u64 val_len.
 constexpr size_t kSegmentRecordHeaderBytes = 21;
 constexpr size_t kSegmentFileHeaderBytes = 8;
-
-/// FNV-1a folded to 32 bits, incrementally updatable (the record decoder
-/// reads fields through a Reader and cannot see them as one span).
-class SegmentChecksum {
- public:
-  void Update(const void* data, size_t n) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  uint32_t Final() const {
-    uint64_t h = h_;
-    h ^= h >> 32;
-    return static_cast<uint32_t>(h);
-  }
-
- private:
-  uint64_t h_ = 0xcbf29ce484222325ULL;
-};
 
 /// One decoded segment record. `key`/`value` hold the serde encodings of
 /// K and V (the value is empty for tombstones).
@@ -100,9 +80,10 @@ inline uint64_t AppendSegmentRecord(std::vector<uint8_t>& out, uint8_t type,
   std::memcpy(p + 13, &vlen, 8);
   if (klen) std::memcpy(p + 21, key.data(), klen);
   if (vlen) std::memcpy(p + 21 + klen, value.data(), vlen);
-  SegmentChecksum ck;
+  // FNV-1a folded to 32 bits over type..value.
+  Fnv1a ck;
   ck.Update(p + 4, kSegmentRecordHeaderBytes - 4 + klen + vlen);
-  uint32_t crc = ck.Final();
+  uint32_t crc = ck.Fold32();
   std::memcpy(p + 21 + klen + vlen, &crc, 4);
   return kSegmentRecordHeaderBytes + klen;
 }
@@ -136,13 +117,13 @@ inline SegmentRecord DecodeSegmentRecord(Reader& r) {
   r.ReadBytes(rec.value.data(), vlen);
   uint32_t crc;
   r.ReadBytes(&crc, 4);
-  SegmentChecksum ck;
+  Fnv1a ck;  // field by field: the Reader has no contiguous span
   ck.Update(&rec.type, 1);
   ck.Update(&klen, 8);
   ck.Update(&vlen, 8);
   ck.Update(rec.key.data(), klen);
   ck.Update(rec.value.data(), vlen);
-  if (crc != ck.Final()) {
+  if (crc != ck.Fold32()) {
     throw SerdeError("segment: record checksum mismatch");
   }
   return rec;

@@ -9,6 +9,7 @@
 
 #include "harness/bench_shard.hpp"
 #include "harness/histogram.hpp"
+#include "harness/open_loop.hpp"
 
 namespace megaphone {
 namespace {
@@ -97,22 +98,16 @@ TEST(BenchShardMerge, PoolsAcrossProcessesAndRecomputesMigrationMax) {
   p1.records_sent = 100;
   p1.duration_sec = 1.5;
 
-  std::vector<BenchShard> shards = {p1, p0};  // arrival order scrambled
-  Timeline merged(250'000'000);
-  Histogram steady;
-  std::vector<MigrationStats> migs;
-  uint64_t records = 0;
-  double duration = 0;
-  detail::MergeShardsInto(shards, &merged, nullptr, &steady, &migs,
-                          &records, nullptr, &duration);
+  OpenLoopResult merged;
+  detail::MergeShardsInto({p1, p0}, &merged);  // arrival order scrambled
 
-  EXPECT_EQ(shards[0].process_index, 0u);  // sorted
-  EXPECT_EQ(steady.total(), 20u);
-  EXPECT_EQ(records, 200u);
-  EXPECT_DOUBLE_EQ(duration, 1.5);
-  ASSERT_EQ(migs.size(), 1u);
+  EXPECT_EQ(merged.shards[0].process_index, 0u);  // sorted
+  EXPECT_EQ(merged.steady.total(), 20u);
+  EXPECT_EQ(merged.records_sent, 200u);
+  EXPECT_DOUBLE_EQ(merged.duration_sec, 1.5);
+  ASSERT_EQ(merged.migrations.size(), 1u);
   // The window max must reflect the merged timeline, not just process 0.
-  EXPECT_DOUBLE_EQ(migs[0].max_ms, 90.0);
+  EXPECT_DOUBLE_EQ(merged.migrations[0].max_ms, 90.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -12,6 +13,8 @@
 #include "common/rate_limiter.hpp"
 #include "common/rng.hpp"
 #include "common/serde.hpp"
+#include "net/frame.hpp"
+#include "state/segment_log.hpp"
 
 namespace megaphone {
 namespace {
@@ -41,6 +44,29 @@ TEST(Hash, HighBitsAreWellDistributed) {
 TEST(Hash, BytesDiffersByContent) {
   EXPECT_NE(HashBytes("hello"), HashBytes("hellp"));
   EXPECT_EQ(HashBytes("hello"), HashBytes("hello"));
+}
+
+// The checksum bytes on the wire and on disk: one FNV-1a serves mesh
+// frames, segment records and HashBytes, and its outputs are pinned so a
+// refactor of the hash cannot silently change a format.
+TEST(Hash, Fnv1aOutputsArePinned) {
+  std::vector<uint8_t> buf(256);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  EXPECT_EQ(net::FrameChecksum(buf.data(), buf.size()), 0xdabb4342u);
+  EXPECT_EQ(net::FrameChecksum(buf.data(), 0), 0x4fd0bfc1u);
+  std::vector<uint8_t> rec;
+  state::AppendSegmentRecord(rec, state::kSegmentRecordPut, {1, 2, 3},
+                             {'v', 'a', 'l'});
+  ASSERT_EQ(rec.size(), 31u);
+  uint32_t crc;
+  std::memcpy(&crc, rec.data() + rec.size() - 4, 4);
+  EXPECT_EQ(crc, 0x209b0da1u);
+  Reader r(rec.data(), rec.size());
+  EXPECT_EQ(state::DecodeSegmentRecord(r).value,
+            (std::vector<uint8_t>{'v', 'a', 'l'}));
+  EXPECT_EQ(HashBytes("megaphone"), 0xa1282cff1d936b93ull);
 }
 
 TEST(Rng, SplitMixDeterministic) {

@@ -1,10 +1,13 @@
-// Tests for the benchmark harness: histograms, timelines, RSS, and the
-// open-loop counting workload driver.
+// Tests for the benchmark harness: histograms, timelines, RSS, the
+// open-loop measurement recorder, and the open-loop count and NEXMark
+// drivers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "harness/harness.hpp"
+#include "harness/nexmark_workload.hpp"
+#include "harness/open_loop.hpp"
 
 namespace megaphone {
 namespace {
@@ -125,6 +128,89 @@ TEST(Flags, ParsesKeyValueForms) {
   EXPECT_EQ(f.GetInt("workers", 0), 8u);
   EXPECT_TRUE(f.GetBool("rss", false));
   EXPECT_EQ(f.GetInt("missing", 17), 17u);
+}
+
+// A scripted run of the recorder with 1 ms epochs and 10 records per
+// epoch: acks before, during and after a window; a window that closes;
+// and a second window the final drain completes.
+TEST(OpenLoopRecorder, ScriptedWindowsAndSamples) {
+  const uint64_t ms = 1'000'000;
+  const uint64_t start = 1'000 * ms;
+  uint64_t acked_through = 0;
+  auto acked = [&](uint64_t e) { return e <= acked_through; };
+  OpenLoopRecorder rec(start, ms, 10);
+
+  rec.Observe(start, 1, acked, false, 0);  // first tick: one RSS sample
+  acked_through = 3;  // epochs 1-3 acked at 5 ms: steady samples
+  rec.Observe(start + 5 * ms, 5, acked, false, 0);
+  acked_through = 6;  // epochs 4-6 acked at 10 ms, as the window opens
+  rec.Observe(start + 10 * ms, 10, acked, true, 0);
+  const uint64_t frames0 = chunk_counters().frames.load();
+  const uint64_t bytes0 = chunk_counters().bytes.load();
+  chunk_counters().frames += 7;
+  chunk_counters().bytes += 7000;
+  // At 300 ms: epochs 7-9 acked (steady again), the 250 ms tick samples
+  // epoch 10's lateness, and the window closes after 2 batches.
+  acked_through = 9;
+  rec.Observe(start + 300 * ms, 300, acked, false, 2);
+  rec.Observe(start + 400 * ms, 400, acked, true, 2);  // second window
+  chunk_counters().frames += 3;
+  chunk_counters().bytes += 300;
+  // The drain acks epochs 10-400 at 1 s and closes the open window.
+  BenchShard shard = rec.Finish(start + 1'000 * ms, 400, 5);
+
+  const auto& bk = shard.timeline.buckets();
+  ASSERT_EQ(bk.size(), 5u);
+  EXPECT_EQ(bk[0].total(), 6u);    // epochs 1-6
+  EXPECT_EQ(bk[1].total(), 4u);    // epochs 7-9 plus the tick sample
+  EXPECT_EQ(bk[1].max(), 293 * ms);  // epoch 7 acked 293 ms late
+  EXPECT_EQ(bk[4].total(), 391u);  // the drained epochs 10-400
+  EXPECT_EQ(shard.per_record.total(), (9u + 391u) * 10);
+  EXPECT_EQ(shard.steady.total(), 6u * 10);  // epochs 1-3 and 7-9
+  EXPECT_EQ(shard.rss.size(), 2u);           // ticks at 0 and 300 ms
+  EXPECT_DOUBLE_EQ(shard.duration_sec, 1.0);
+
+  ASSERT_EQ(shard.migrations.size(), 2u);
+  const MigrationStats& w0 = shard.migrations[0];
+  EXPECT_DOUBLE_EQ(w0.start_sec, 0.010);
+  EXPECT_DOUBLE_EQ(w0.end_sec, 0.300);
+  EXPECT_EQ(w0.batches, 2u);
+  EXPECT_EQ(w0.chunk_frames, 7u);
+  EXPECT_EQ(w0.chunk_bytes, 7000u);
+  // [10 ms, 800 ms) covers buckets 0-3; the drain's bucket 4 is outside.
+  EXPECT_DOUBLE_EQ(w0.max_ms, 293.0);
+  const MigrationStats& w1 = shard.migrations[1];
+  EXPECT_DOUBLE_EQ(w1.start_sec, 0.400);
+  EXPECT_DOUBLE_EQ(w1.end_sec, 1.0);
+  EXPECT_EQ(w1.batches, 3u);
+  EXPECT_EQ(w1.chunk_frames, 3u);
+  EXPECT_EQ(w1.chunk_bytes, 300u);
+  EXPECT_DOUBLE_EQ(w1.max_ms, 990.0);  // epoch 10, drained at 1 s
+  EXPECT_EQ(chunk_counters().frames.load() - frames0, 10u);
+  EXPECT_EQ(chunk_counters().bytes.load() - bytes0, 7300u);
+}
+
+TEST(NexmarkBench, SmokeQ3WithMigration) {
+  NexmarkBenchConfig cfg;
+  cfg.query = 3;
+  cfg.workers = 2;
+  cfg.rate = 20'000;
+  cfg.duration_ms = 600;
+  cfg.qcfg.num_bins = 16;
+  cfg.strategy = MigrationStrategy::kBatched;
+  // One batch, early: a window the end-of-run drain closes counts only
+  // the batches the controller saw complete, and sanitizer builds run
+  // slowly enough for a later or multi-batch plan to end there.
+  cfg.batch_size = cfg.qcfg.num_bins;
+  cfg.migrations.push_back(
+      {100, MakeImbalancedAssignment(cfg.qcfg.num_bins, cfg.workers)});
+  auto result = RunNexmarkBench(cfg);
+  EXPECT_FALSE(result.timeline.Rows().empty());
+  ASSERT_EQ(result.migrations.size(), 1u);
+  EXPECT_GT(result.migrations[0].end_sec, result.migrations[0].start_sec);
+  EXPECT_GE(result.migrations[0].batches, 1u);
+  EXPECT_GT(result.records_sent, 0u);  // events injected
+  EXPECT_GT(result.outputs, 0u);
 }
 
 TEST(CountBench, SmokeRunNoMigration) {
