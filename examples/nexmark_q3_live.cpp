@@ -36,16 +36,16 @@ int main(int argc, char** argv) {
   auto imbalanced =
       MakeImbalancedAssignment(cfg.qcfg.num_bins, cfg.workers);
   auto balanced = MakeInitialAssignment(cfg.qcfg.num_bins, cfg.workers);
-  cfg.migrations = {{cfg.duration_ms * 2 / 5, imbalanced},
-                    {cfg.duration_ms * 7 / 10, balanced}};
+  cfg.schedule = {{cfg.duration_ms * 2 / 5, imbalanced},
+                  {cfg.duration_ms * 7 / 10, balanced}};
 
   std::printf("NEXMark Q3 (megaphone) at %.0f events/s on %u workers "
               "(%u process(es));\n"
               "batched migrations at %llu ms (25%% of bins out) and %llu ms "
               "(back).\n\n",
               cfg.rate, cfg.workers, processes,
-              static_cast<unsigned long long>(cfg.migrations[0].at_ms),
-              static_cast<unsigned long long>(cfg.migrations[1].at_ms));
+              static_cast<unsigned long long>(cfg.schedule[0].first),
+              static_cast<unsigned long long>(cfg.schedule[1].first));
 
   auto r = RunForked(processes, workers, [&](const timely::Config& tc) {
     return RunNexmarkBench(cfg, tc);

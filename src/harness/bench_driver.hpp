@@ -11,15 +11,20 @@
 // runs) skips the fork: every process must be started with identical
 // flags and runs the same variant sequence in lockstep.
 //
-// Reports: the classic text tables print to stdout (same format as the
-// original fig binaries), and one merged JSON report is written to
-// --out (default megabench_figN.json). Every open-loop figure (1, 5-12,
-// 22, 24, 25) writes one common block per variant, BeginVariant below:
-// label, strategy, processes_reporting, records or events sent, steady
-// percentiles, migration windows with max_latency_during_migration_ms,
-// latency timeline rows and RSS; a figure adds only its own keys.
-// Overhead figures carry per-record percentiles + CCDF instead of
-// timelines. README.md lists the schema.
+// A figure is its variant table, its config block and its own keys.
+// Every count figure builds its base config with CountConfigFromFlags
+// (workers, bins, domain, rate, run length and the chunk flags over the
+// figure's defaults), and every open-loop figure (1, 5-12, 22, 24, 25)
+// runs and reports its variants through one VariantRunner.
+//
+// Reports: text tables print to stdout, and one merged JSON report is
+// written to --out (default megabench_figN.json). VariantRunner writes
+// one common block per variant, BeginVariant below: label, strategy,
+// processes_reporting, records or events sent, steady percentiles,
+// migration windows with max_latency_during_migration_ms, latency
+// timeline rows and RSS; a figure adds only its own keys. Overhead
+// figures carry per-record percentiles + CCDF instead of timelines.
+// README.md lists the schema.
 #pragma once
 
 #include <stdlib.h>
@@ -37,6 +42,7 @@
 #include <optional>
 #include <string>
 #include <system_error>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -66,16 +72,6 @@ constexpr int kFigAdaptive = 24;
 /// LogState backend must complete it (chunked migration included) under
 /// the cap, where the in-memory MapState baseline cannot.
 constexpr int kFigSpill = 25;
-
-/// --chunk-bytes=N / --chunk-step-bytes=N: state-chunk frame bound and
-/// per-step flow-control budget (0 = monolithic single-frame migration).
-inline uint64_t ChunkBytesFromFlags(const Flags& flags, uint64_t dflt = 0) {
-  return flags.GetInt("chunk-bytes", flags.GetInt("chunk_bytes", dflt));
-}
-inline uint64_t ChunkStepBytesFromFlags(const Flags& flags) {
-  return flags.GetInt("chunk-step-bytes",
-                      flags.GetInt("chunk_bytes_per_step", 0));
-}
 
 // ---------------------------------------------------------------- procs
 
@@ -267,6 +263,36 @@ inline uint64_t DurationMsFromFlags(const Flags& flags, double rate,
   return flags.GetInt("duration_ms", dflt_ms);
 }
 
+/// A count figure's base config: every worker of `procs`, key-count, and
+/// --bins, --domain, --rate, the run length (DurationMsFromFlags),
+/// --chunk-bytes (0 = monolithic single-frame migration) and
+/// --chunk-step-bytes (per-step chunk budget) over the figure's defaults.
+inline CountBenchConfig CountConfigFromFlags(
+    const BenchProcs& procs, const Flags& flags, uint32_t bins,
+    uint64_t domain, double rate, uint64_t duration_ms,
+    uint64_t chunk_bytes = 0) {
+  CountBenchConfig c;
+  c.workers = procs.total_workers();
+  c.num_bins = static_cast<uint32_t>(flags.GetInt("bins", bins));
+  c.domain = flags.GetInt("domain", domain);
+  c.rate = flags.GetDouble("rate", rate);
+  c.duration_ms = DurationMsFromFlags(flags, c.rate, duration_ms);
+  c.chunk_bytes = flags.GetInt("chunk-bytes", chunk_bytes);
+  c.chunk_bytes_per_step = flags.GetInt("chunk-step-bytes", 0);
+  return c;
+}
+
+/// Opens a count figure's "config" object with the keys most share; the
+/// figure adds its own and closes it.
+inline void BeginCountConfig(JsonWriter& j, const char* workload,
+                             const CountBenchConfig& c) {
+  j.Key("config").BeginObject();
+  j.Key("workload").Value(workload);
+  j.Key("domain").Value(c.domain);
+  j.Key("rate").Value(c.rate);
+  j.Key("duration_ms").Value(c.duration_ms);
+}
+
 /// --strategy=LABEL filters the variant set; "all" (default) keeps every
 /// variant. Matches the variant label or the StrategyName.
 inline bool VariantEnabled(const Flags& flags, const char* label,
@@ -282,23 +308,75 @@ inline bool NativeEnabled(const Flags& flags) {
   return want == "all" || want == "native";
 }
 
+// ------------------------------------------------------ variant report
+
+/// The open-loop figures' variant runner (figs 1, 5-12 with the native
+/// panel, 22, 24 and 25). It opens the report's "variants" array; each
+/// Run runs one variant and, on the root, prints its timeline, its
+/// migration summary and its steady p99 / max-during-migration line (a
+/// variant without a strategy, the native panel, has no migrations),
+/// then writes the shared JSON block (benchjson::BeginVariant), lets
+/// `extra(r)` write the figure's own keys and print-outs, and closes the
+/// variant. End closes the array.
+class VariantRunner {
+ public:
+  VariantRunner(BenchProcs& procs, JsonWriter& j) : procs_(procs), j_(j) {
+    j_.Key("variants").BeginArray();
+  }
+
+  template <typename Cfg, typename Extra>
+  void Run(const char* label, const Cfg& cfg,
+           std::optional<MigrationStrategy> strategy, Extra&& extra) {
+    auto r = procs_.Run(cfg);
+    if (!r.root) return;
+    PrintTimeline(label, r.timeline);
+    const double p99 = static_cast<double>(r.steady.Quantile(0.99)) * 1e-6;
+    if (strategy) {
+      uint64_t bins;
+      if constexpr (std::is_same_v<Cfg, CountBenchConfig>) {
+        bins = cfg.num_bins;
+      } else {
+        bins = cfg.qcfg.num_bins;
+      }
+      PrintMigrationSummary(label, bins, "bins", r.migrations);
+      max_ms_.emplace_back(label, MaxDuringMigration(r.migrations));
+      std::printf("# %s: steady p99 = %.3f ms, max during migration = "
+                  "%.3f ms\n",
+                  label, p99, max_ms_.back().second);
+    } else {
+      std::printf("# %s: steady p99 = %.3f ms\n", label, p99);
+    }
+    benchjson::BeginVariant(j_, label, strategy, r);
+    extra(r);
+    j_.EndObject();
+    std::printf("\n");
+  }
+
+  /// Closes the array; returns every reported migrating variant's
+  /// (label, max latency during migration), in run order.
+  const std::vector<std::pair<const char*, double>>& End() {
+    j_.EndArray();
+    return max_ms_;
+  }
+
+ private:
+  BenchProcs& procs_;
+  JsonWriter& j_;
+  std::vector<std::pair<const char*, double>> max_ms_;
+};
+
 // -------------------------------------------------- count timeline figs
 
 /// Figure 1: migration latency timelines on the key-count workload,
 /// all-at-once vs fluid vs optimized.
 inline void RunFig01(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
-  CountBenchConfig base;
-  base.workers = procs.total_workers();
-  base.num_bins = static_cast<uint32_t>(flags.GetInt("bins", 1024));
-  base.domain = flags.GetInt("domain", 1 << 23);
-  base.rate = flags.GetDouble("rate", 400'000);
-  base.duration_ms = DurationMsFromFlags(flags, base.rate, 6000);
-  base.mode = CountMode::kKeyCount;
+  CountBenchConfig base =
+      CountConfigFromFlags(procs, flags, 1024, 1 << 23, 400'000, 6000);
   base.batch_size = flags.GetInt("batch_size", 64);
-  base.chunk_bytes = ChunkBytesFromFlags(flags);
-  base.chunk_bytes_per_step = ChunkStepBytesFromFlags(flags);
   const uint64_t migrate_at =
       flags.GetInt("migrate_at_ms", base.duration_ms / 3);
+  base.schedule = {
+      {migrate_at, MakeImbalancedAssignment(base.num_bins, base.workers)}};
 
   std::printf(
       "# Figure 1: migration latency timelines, key-count, domain=%llu "
@@ -306,46 +384,23 @@ inline void RunFig01(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
       static_cast<unsigned long long>(base.domain), base.rate, base.workers,
       base.num_bins, procs.processes());
 
-  j.Key("config").BeginObject();
-  j.Key("workload").Value("key-count");
-  j.Key("domain").Value(base.domain);
-  j.Key("rate").Value(base.rate);
-  j.Key("duration_ms").Value(base.duration_ms);
+  BeginCountConfig(j, "key-count", base);
   j.Key("bins").Value(static_cast<uint64_t>(base.num_bins));
   j.Key("migrate_at_ms").Value(migrate_at);
   j.Key("chunk_bytes").Value(base.chunk_bytes);
   j.EndObject();
 
-  struct Variant {
-    const char* label;
-    MigrationStrategy strategy;
-  };
-  const Variant variants[] = {
-      {"all-at-once", MigrationStrategy::kAllAtOnce},
-      {"fluid", MigrationStrategy::kFluid},
-      {"optimized", MigrationStrategy::kOptimized},
-  };
-
-  std::vector<std::pair<const char*, double>> max_ms;
-  j.Key("variants").BeginArray();
-  for (const auto& v : variants) {
-    if (!VariantEnabled(flags, v.label, v.strategy)) continue;
+  VariantRunner runner(procs, j);
+  for (auto strategy :
+       {MigrationStrategy::kAllAtOnce, MigrationStrategy::kFluid,
+        MigrationStrategy::kOptimized}) {
+    const char* label = StrategyName(strategy);
+    if (!VariantEnabled(flags, label, strategy)) continue;
     CountBenchConfig cfg = base;
-    cfg.strategy = v.strategy;
-    cfg.migrations.push_back(
-        {migrate_at, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
-    auto r = procs.Run(cfg);
-    if (!r.root) continue;
-    PrintTimeline(v.label, r.timeline);
-    PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
-    std::printf("# %s: steady p99 = %.3f ms\n\n", v.label,
-                static_cast<double>(r.steady.Quantile(0.99)) * 1e-6);
-    max_ms.emplace_back(v.label, MaxDuringMigration(r.migrations));
-    benchjson::BeginVariant(j, v.label, v.strategy, r);
-    j.EndObject();
+    cfg.strategy = strategy;
+    runner.Run(label, cfg, strategy, [](const CountBenchResult&) {});
   }
-  j.EndArray();
-  PrintMaxSummary(max_ms);
+  PrintMaxSummary(runner.End());
 }
 
 // -------------------------------------------------------- nexmark figs
@@ -361,8 +416,8 @@ inline void RunNexmarkFig(BenchProcs& procs, const Flags& flags, int q,
   base.rate = flags.GetDouble("rate", 50'000);
   base.duration_ms = DurationMsFromFlags(flags, base.rate, 5000);
   base.qcfg.num_bins = static_cast<uint32_t>(flags.GetInt("bins", 256));
-  base.qcfg.chunk_bytes = ChunkBytesFromFlags(flags);
-  base.qcfg.chunk_bytes_per_step = ChunkStepBytesFromFlags(flags);
+  base.qcfg.chunk_bytes = flags.GetInt("chunk-bytes", 0);
+  base.qcfg.chunk_bytes_per_step = flags.GetInt("chunk-step-bytes", 0);
   base.batch_size = flags.GetInt("batch_size", 16);
   base.gcfg.auction_duration_ms = flags.GetInt("auction_ms", 1000);
   base.qcfg.q5_slide_ms = flags.GetInt("q5_slide_ms", 250);
@@ -391,53 +446,28 @@ inline void RunNexmarkFig(BenchProcs& procs, const Flags& flags, int q,
   j.Key("migrate2_at_ms").Value(mig2);
   j.EndObject();
 
-  auto imbalanced =
-      MakeImbalancedAssignment(base.qcfg.num_bins, base.workers);
-  auto balanced = MakeInitialAssignment(base.qcfg.num_bins, base.workers);
-
-  struct Variant {
-    const char* label;
-    MigrationStrategy strategy;
+  auto print_outputs = [](const NexmarkBenchResult& r) {
+    std::printf("# outputs=%llu\n",
+                static_cast<unsigned long long>(r.outputs));
   };
-  const Variant variants[] = {
-      {"all-at-once", MigrationStrategy::kAllAtOnce},
-      {"megaphone-batched", MigrationStrategy::kBatched},
-  };
-
-  std::vector<std::pair<const char*, double>> max_ms;
-  j.Key("variants").BeginArray();
-  for (const auto& v : variants) {
-    if (!VariantEnabled(flags, v.label, v.strategy)) continue;
-    NexmarkBenchConfig run = base;
-    run.strategy = v.strategy;
-    run.migrations = {{mig1, imbalanced}, {mig2, balanced}};
-    auto r = procs.Run(run);
-    if (!r.root) continue;
-    PrintTimeline(v.label, r.timeline);
-    PrintMigrationSummary(v.label, base.qcfg.num_bins, "bins",
-                          r.migrations);
-    std::printf("# %s: outputs=%llu steady p99=%.3f ms\n\n", v.label,
-                static_cast<unsigned long long>(r.outputs),
-                static_cast<double>(r.steady.Quantile(0.99)) * 1e-6);
-    max_ms.emplace_back(v.label, MaxDuringMigration(r.migrations));
-    benchjson::BeginVariant(j, v.label, v.strategy, r);
-    j.EndObject();
+  VariantRunner runner(procs, j);
+  for (auto [label, strategy] :
+       {std::pair{"all-at-once", MigrationStrategy::kAllAtOnce},
+        std::pair{"megaphone-batched", MigrationStrategy::kBatched}}) {
+    if (!VariantEnabled(flags, label, strategy)) continue;
+    NexmarkBenchConfig cfg = base;
+    cfg.strategy = strategy;
+    cfg.schedule = {
+        {mig1, MakeImbalancedAssignment(base.qcfg.num_bins, base.workers)},
+        {mig2, MakeInitialAssignment(base.qcfg.num_bins, base.workers)}};
+    runner.Run(label, cfg, strategy, print_outputs);
   }
   if (with_native && NativeEnabled(flags)) {
-    NexmarkBenchConfig run = base;
-    run.use_megaphone = false;
-    auto r = procs.Run(run);
-    if (r.root) {
-      PrintTimeline("native", r.timeline);
-      std::printf("# native: outputs=%llu steady p99=%.3f ms\n\n",
-                  static_cast<unsigned long long>(r.outputs),
-                  static_cast<double>(r.steady.Quantile(0.99)) * 1e-6);
-      benchjson::BeginVariant(j, "native", std::nullopt, r);
-      j.EndObject();
-    }
+    NexmarkBenchConfig cfg = base;
+    cfg.use_megaphone = false;
+    runner.Run("native", cfg, std::nullopt, print_outputs);
   }
-  j.EndArray();
-
+  const auto& max_ms = runner.End();
   if (max_ms.size() >= 2) {
     std::printf("# summary Q%d: max latency during migration: "
                 "%s=%.3f ms, %s=%.3f ms\n",
@@ -453,11 +483,9 @@ inline void RunNexmarkFig(BenchProcs& procs, const Flags& flags, int q,
 /// the native implementation. No migration occurs.
 inline void RunOverheadFig(BenchProcs& procs, const Flags& flags, int fig,
                            JsonWriter& j) {
-  CountBenchConfig base;
-  base.workers = procs.total_workers();
-  base.domain = flags.GetInt("domain", fig == 15 ? 1 << 23 : 1 << 20);
-  base.rate = flags.GetDouble("rate", 100'000);
-  base.duration_ms = DurationMsFromFlags(flags, base.rate, 2000);
+  // Each Megaphone row sets its own bin count; the native row keeps 256.
+  CountBenchConfig base = CountConfigFromFlags(
+      procs, flags, 256, fig == 15 ? 1 << 23 : 1 << 20, 100'000, 2000);
   base.mode = fig == 13 ? CountMode::kHashCount : CountMode::kKeyCount;
   const CountMode native_mode =
       fig == 13 ? CountMode::kNativeHash : CountMode::kNativeKey;
@@ -473,21 +501,15 @@ inline void RunOverheadFig(BenchProcs& procs, const Flags& flags, int fig,
               CountModeName(base.mode),
               static_cast<unsigned long long>(base.domain), base.rate);
 
-  j.Key("config").BeginObject();
-  j.Key("workload").Value(CountModeName(base.mode));
-  j.Key("domain").Value(base.domain);
-  j.Key("rate").Value(base.rate);
-  j.Key("duration_ms").Value(base.duration_ms);
+  BeginCountConfig(j, CountModeName(base.mode), base);
   j.EndObject();
 
-  struct Row {
-    std::string name;
-    Histogram hist;
-  };
-  std::vector<Row> rows;
+  std::vector<std::pair<std::string, Histogram>> rows;  // name, per_record
   j.Key("variants").BeginArray();
   auto add_row = [&](const std::string& name, uint64_t bins,
-                     const CountBenchResult& r) {
+                     const CountBenchConfig& cfg) {
+    auto r = procs.Run(cfg);
+    if (!r.root) return;
     j.BeginObject();
     j.Key("label").Value(name);
     if (bins > 0) j.Key("bins").Value(bins);
@@ -497,28 +519,27 @@ inline void RunOverheadFig(BenchProcs& procs, const Flags& flags, int fig,
     benchjson::Ccdf_(j, r.per_record);
     benchjson::Rss_(j, r.rss_samples);
     j.EndObject();
-    rows.push_back(Row{name, r.per_record});
+    rows.emplace_back(name, r.per_record);
   };
   for (uint32_t lb : log_bins) {
     CountBenchConfig cfg = base;
     cfg.num_bins = 1u << lb;
-    if (cfg.num_bins > cfg.domain) continue;
-    auto r = procs.Run(cfg);
-    if (r.root) add_row(std::to_string(lb), cfg.num_bins, r);
+    if (cfg.num_bins <= cfg.domain) {
+      add_row(std::to_string(lb), cfg.num_bins, cfg);
+    }
   }
   if (NativeEnabled(flags)) {
     CountBenchConfig cfg = base;
     cfg.mode = native_mode;
-    auto r = procs.Run(cfg);
-    if (r.root) add_row("Native", 0, r);
+    add_row("Native", 0, cfg);
   }
   j.EndArray();
 
   PrintPercentileHeader();
-  for (const auto& row : rows) PrintPercentileRow(row.name, row.hist);
+  for (const auto& [name, hist] : rows) PrintPercentileRow(name, hist);
   std::printf("\n");
   if (flags.GetBool("ccdf", fig != 15)) {
-    for (const auto& row : rows) PrintCcdf(row.name.c_str(), row.hist);
+    for (const auto& [name, hist] : rows) PrintCcdf(name.c_str(), hist);
   }
 }
 
@@ -528,14 +549,9 @@ inline void RunOverheadFig(BenchProcs& procs, const Flags& flags, int fig,
 /// domain, and proportional growth).
 inline void RunSweepFig(BenchProcs& procs, const Flags& flags, int fig,
                         JsonWriter& j) {
-  CountBenchConfig base;
-  base.workers = procs.total_workers();
-  base.rate = flags.GetDouble("rate", 150'000);
-  base.duration_ms = DurationMsFromFlags(flags, base.rate, 4000);
-  base.mode = CountMode::kKeyCount;
+  CountBenchConfig base =
+      CountConfigFromFlags(procs, flags, 1024, 1 << 22, 150'000, 4000);
   base.gap_ms = flags.GetInt("gap", 0);
-  base.chunk_bytes = ChunkBytesFromFlags(flags);
-  base.chunk_bytes_per_step = ChunkStepBytesFromFlags(flags);
   const uint64_t migrate_at =
       flags.GetInt("migrate_at_ms", base.duration_ms / 5);
   const uint64_t keys_per_bin = flags.GetInt("keys_per_bin", 1 << 12);
@@ -553,35 +569,31 @@ inline void RunSweepFig(BenchProcs& procs, const Flags& flags, int fig,
   j.Key("migrate_at_ms").Value(migrate_at);
   j.EndObject();
 
+  const bool full = flags.GetBool("full", false);
   std::vector<uint64_t> params;
   if (fig == 16) {
-    params = {16, 256, 4096};
-    if (flags.GetBool("full", false)) params = {16, 64, 256, 1024, 4096, 16384};
+    params = full ? std::vector<uint64_t>{16, 64, 256, 1024, 4096, 16384}
+                  : std::vector<uint64_t>{16, 256, 4096};
   } else if (fig == 17) {
-    params = {1 << 20, 1 << 22, 1 << 24};
-    if (flags.GetBool("full", false)) {
-      params = {1 << 20, 1 << 21, 1 << 22, 1 << 23, 1 << 24, 1 << 25};
-    }
+    params = full ? std::vector<uint64_t>{1 << 20, 1 << 21, 1 << 22,
+                                          1 << 23, 1 << 24, 1 << 25}
+                  : std::vector<uint64_t>{1 << 20, 1 << 22, 1 << 24};
   } else {
-    params = {256, 1024, 4096};
-    if (flags.GetBool("full", false)) params = {64, 256, 1024, 4096, 8192};
+    params = full ? std::vector<uint64_t>{64, 256, 1024, 4096, 8192}
+                  : std::vector<uint64_t>{256, 1024, 4096};
   }
 
-  const MigrationStrategy strategies[] = {MigrationStrategy::kAllAtOnce,
-                                          MigrationStrategy::kFluid,
-                                          MigrationStrategy::kBatched};
   j.Key("variants").BeginArray();
-  for (auto strat : strategies) {
+  for (auto strat : {MigrationStrategy::kAllAtOnce, MigrationStrategy::kFluid,
+                     MigrationStrategy::kBatched}) {
     if (!VariantEnabled(flags, StrategyName(strat), strat)) continue;
     for (uint64_t p : params) {
       CountBenchConfig cfg = base;
       cfg.strategy = strat;
       if (fig == 16) {
         cfg.num_bins = static_cast<uint32_t>(p);
-        cfg.domain = flags.GetInt("domain", 1 << 22);
         cfg.batch_size = p / 16 == 0 ? 1 : p / 16;
       } else if (fig == 17) {
-        cfg.num_bins = static_cast<uint32_t>(flags.GetInt("bins", 1024));
         cfg.domain = p;
         cfg.batch_size = flags.GetInt("batch_size", 64);
       } else {
@@ -589,9 +601,8 @@ inline void RunSweepFig(BenchProcs& procs, const Flags& flags, int fig,
         cfg.domain = keys_per_bin * p;
         cfg.batch_size = 16;
       }
-      cfg.migrations.push_back(
-          {migrate_at,
-           MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
+      cfg.schedule = {
+          {migrate_at, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)}};
       auto r = procs.Run(cfg);
       if (!r.root) continue;
       PrintMigrationSummary(StrategyName(strat), p,
@@ -615,15 +626,12 @@ inline void RunSweepFig(BenchProcs& procs, const Flags& flags, int fig,
 /// Figure 19: offered load vs maximum latency for the four
 /// configurations (non-migrating, all-at-once, batched, fluid).
 inline void RunFig19(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
-  CountBenchConfig base;
-  base.workers = procs.total_workers();
-  base.num_bins = static_cast<uint32_t>(flags.GetInt("bins", 1024));
-  base.domain = flags.GetInt("domain", 1 << 22);
+  CountBenchConfig base =
+      CountConfigFromFlags(procs, flags, 1024, 1 << 22, 50'000, 2500);
+  // Each row runs at its own rate, which also sets its length under
+  // --records; the base length is the --duration_ms one.
   base.duration_ms = flags.GetInt("duration_ms", 2500);
-  base.mode = CountMode::kKeyCount;
   base.batch_size = 64;
-  base.chunk_bytes = ChunkBytesFromFlags(flags);
-  base.chunk_bytes_per_step = ChunkStepBytesFromFlags(flags);
 
   std::vector<double> rates = {50'000, 100'000, 200'000, 400'000};
   if (flags.GetBool("full", false)) {
@@ -641,39 +649,32 @@ inline void RunFig19(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   j.Key("duration_ms").Value(base.duration_ms);
   j.EndObject();
 
-  struct V {
-    const char* label;
-    bool migrate;
-    MigrationStrategy strategy;
-  };
-  const V variants[] = {
-      {"non-migrating", false, MigrationStrategy::kAllAtOnce},
-      {"all-at-once", true, MigrationStrategy::kAllAtOnce},
-      {"batched", true, MigrationStrategy::kBatched},
-      {"fluid", true, MigrationStrategy::kFluid},
-  };
+  using V = std::tuple<const char*, bool, MigrationStrategy>;
   j.Key("variants").BeginArray();
-  for (const auto& v : variants) {
-    if (!VariantEnabled(flags, v.label, v.strategy)) continue;
+  for (auto [label, migrate, strategy] :
+       {V{"non-migrating", false, MigrationStrategy::kAllAtOnce},
+        V{"all-at-once", true, MigrationStrategy::kAllAtOnce},
+        V{"batched", true, MigrationStrategy::kBatched},
+        V{"fluid", true, MigrationStrategy::kFluid}}) {
+    if (!VariantEnabled(flags, label, strategy)) continue;
     for (double rate : rates) {
       CountBenchConfig cfg = base;
       cfg.rate = rate;
       // --records bounds each row's run by its own rate; the migration
       // point scales with the row's duration.
       cfg.duration_ms = DurationMsFromFlags(flags, rate, base.duration_ms);
-      if (v.migrate) {
-        cfg.migrations.push_back(
-            {flags.GetInt("migrate_at_ms", cfg.duration_ms / 4),
-             MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
+      if (migrate) {
+        cfg.schedule = {{flags.GetInt("migrate_at_ms", cfg.duration_ms / 4),
+                         MakeImbalancedAssignment(cfg.num_bins, cfg.workers)}};
       }
-      cfg.strategy = v.strategy;
+      cfg.strategy = strategy;
       auto r = procs.Run(cfg);
       if (!r.root) continue;
       double max_s =
           static_cast<double>(r.timeline.MaxIn(0, ~uint64_t{0})) * 1e-9;
-      std::printf("%12s %14.0f %14.4f\n", v.label, rate, max_s);
+      std::printf("%12s %14.0f %14.4f\n", label, rate, max_s);
       j.BeginObject();
-      j.Key("label").Value(v.label);
+      j.Key("label").Value(label);
       j.Key("rate").Value(rate);
       j.Key("max_latency_s").Value(max_s);
       j.Key("processes_reporting").Value(
@@ -688,17 +689,15 @@ inline void RunFig19(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
 /// Figure 20: resident set size over time per migration strategy (RSS is
 /// sampled in process 0).
 inline void RunFig20(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
-  CountBenchConfig base;
-  base.workers = procs.total_workers();
-  base.num_bins = static_cast<uint32_t>(flags.GetInt("bins", 1024));
-  base.domain = flags.GetInt("domain", 1 << 24);
-  base.rate = flags.GetDouble("rate", 100'000);
-  base.duration_ms = DurationMsFromFlags(flags, base.rate, 4000);
-  base.mode = CountMode::kKeyCount;
+  CountBenchConfig base =
+      CountConfigFromFlags(procs, flags, 1024, 1 << 24, 100'000, 4000);
   base.batch_size = 64;
   base.state_bytes_per_sec = flags.GetInt("state_bw", 64ull << 20);
-  base.chunk_bytes = ChunkBytesFromFlags(flags);
-  base.chunk_bytes_per_step = ChunkStepBytesFromFlags(flags);
+  base.schedule = {
+      {base.duration_ms / 4,
+       MakeImbalancedAssignment(base.num_bins, base.workers)},
+      {base.duration_ms * 5 / 8,
+       MakeInitialAssignment(base.num_bins, base.workers)}};
 
   std::printf("# Figure 20: RSS over time; domain=%llu (~%llu MB state), "
               "state_bw=%llu MB/s\n",
@@ -706,28 +705,16 @@ inline void RunFig20(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
               static_cast<unsigned long long>(base.domain * 8 >> 20),
               static_cast<unsigned long long>(base.state_bytes_per_sec >> 20));
 
-  j.Key("config").BeginObject();
-  j.Key("workload").Value("key-count");
-  j.Key("domain").Value(base.domain);
-  j.Key("rate").Value(base.rate);
-  j.Key("duration_ms").Value(base.duration_ms);
+  BeginCountConfig(j, "key-count", base);
   j.Key("state_bytes_per_sec").Value(base.state_bytes_per_sec);
   j.EndObject();
 
-  const MigrationStrategy strategies[] = {MigrationStrategy::kAllAtOnce,
-                                          MigrationStrategy::kBatched,
-                                          MigrationStrategy::kFluid};
   j.Key("variants").BeginArray();
-  for (auto strat : strategies) {
+  for (auto strat : {MigrationStrategy::kAllAtOnce, MigrationStrategy::kBatched,
+                     MigrationStrategy::kFluid}) {
     if (!VariantEnabled(flags, StrategyName(strat), strat)) continue;
     CountBenchConfig cfg = base;
     cfg.strategy = strat;
-    cfg.migrations.push_back(
-        {cfg.duration_ms / 4,
-         MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
-    cfg.migrations.push_back(
-        {cfg.duration_ms * 5 / 8,
-         MakeInitialAssignment(cfg.num_bins, cfg.workers)});
     auto r = procs.Run(cfg);
     if (!r.root) continue;
     std::printf("# rss %s\n%10s %14s\n", StrategyName(strat), "time_s",
@@ -768,18 +755,14 @@ inline void RunFig20(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
 /// single-frame path at equal steady throughput (tools/bench_check.py
 /// --max-latency gates exactly this).
 inline void RunFig22(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
-  CountBenchConfig base;
-  base.workers = procs.total_workers();
-  base.num_bins = static_cast<uint32_t>(flags.GetInt("bins", 16));
-  base.domain = flags.GetInt("domain", 1 << 22);
-  base.rate = flags.GetDouble("rate", 200'000);
-  base.duration_ms = DurationMsFromFlags(flags, base.rate, 4000);
-  base.mode = CountMode::kKeyCount;
+  CountBenchConfig base = CountConfigFromFlags(
+      procs, flags, 16, 1 << 22, 200'000, 4000, /*chunk_bytes=*/64 << 10);
   base.strategy = MigrationStrategy::kAllAtOnce;
   const uint64_t migrate_at =
       flags.GetInt("migrate_at_ms", base.duration_ms / 3);
-  const uint64_t chunk = ChunkBytesFromFlags(flags, 64 << 10);
-  const uint64_t chunk_step = ChunkStepBytesFromFlags(flags);
+  base.schedule = {
+      {migrate_at, MakeImbalancedAssignment(base.num_bins, base.workers)}};
+  const uint64_t chunk = base.chunk_bytes;
 
   std::printf(
       "# Figure 22: chunked vs monolithic migration, key-count, "
@@ -788,50 +771,24 @@ inline void RunFig22(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
       static_cast<unsigned long long>(base.domain / base.num_bins * 8 >> 10),
       base.num_bins, base.rate, static_cast<unsigned long long>(chunk >> 10));
 
-  j.Key("config").BeginObject();
-  j.Key("workload").Value("key-count");
-  j.Key("domain").Value(base.domain);
-  j.Key("rate").Value(base.rate);
-  j.Key("duration_ms").Value(base.duration_ms);
+  BeginCountConfig(j, "key-count", base);
   j.Key("bins").Value(static_cast<uint64_t>(base.num_bins));
   j.Key("migrate_at_ms").Value(migrate_at);
   j.Key("chunk_bytes").Value(chunk);
   j.EndObject();
 
-  struct Variant {
-    const char* label;
-    uint64_t chunk_bytes;
-  };
-  const Variant variants[] = {
-      {"monolithic", 0},
-      {"chunked", chunk},
-  };
-
-  std::vector<std::pair<const char*, double>> max_ms;
-  j.Key("variants").BeginArray();
-  for (const auto& v : variants) {
-    if (!VariantEnabled(flags, v.label, base.strategy)) continue;
+  VariantRunner runner(procs, j);
+  for (auto [label, chunk_bytes] :
+       {std::pair{"monolithic", uint64_t{0}}, std::pair{"chunked", chunk}}) {
+    if (!VariantEnabled(flags, label, base.strategy)) continue;
     CountBenchConfig cfg = base;
-    cfg.chunk_bytes = v.chunk_bytes;
-    cfg.chunk_bytes_per_step = v.chunk_bytes == 0 ? 0 : chunk_step;
-    cfg.migrations.push_back(
-        {migrate_at, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
-    auto r = procs.Run(cfg);
-    if (!r.root) continue;
-    PrintTimeline(v.label, r.timeline);
-    PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
-    const double m = MaxDuringMigration(r.migrations);
-    max_ms.emplace_back(v.label, m);
-    std::printf("# %s: steady p99 = %.3f ms, max during migration = "
-                "%.3f ms\n\n",
-                v.label,
-                static_cast<double>(r.steady.Quantile(0.99)) * 1e-6, m);
-    benchjson::BeginVariant(j, v.label, cfg.strategy, r);
-    j.Key("chunk_bytes").Value(v.chunk_bytes);
-    j.EndObject();
+    cfg.chunk_bytes = chunk_bytes;
+    if (chunk_bytes == 0) cfg.chunk_bytes_per_step = 0;
+    runner.Run(label, cfg, cfg.strategy, [&](const CountBenchResult&) {
+      j.Key("chunk_bytes").Value(chunk_bytes);
+    });
   }
-  j.EndArray();
-  PrintMaxSummary(max_ms);
+  PrintMaxSummary(runner.End());
 }
 
 // ---------------------------------------------- fig 24 (adaptive drill)
@@ -847,17 +804,10 @@ inline void RunFig22(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
 /// this). --controller=static runs the same flip with no controller, as
 /// the unmitigated baseline; --controller=all runs both.
 inline void RunFig24(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
-  CountBenchConfig base;
-  base.workers = procs.total_workers();
-  base.num_bins = static_cast<uint32_t>(flags.GetInt("bins", 256));
-  base.domain = flags.GetInt("domain", 1 << 22);
-  base.rate = flags.GetDouble("rate", 200'000);
-  base.duration_ms = DurationMsFromFlags(flags, base.rate, 6000);
-  base.mode = CountMode::kKeyCount;
+  CountBenchConfig base =
+      CountConfigFromFlags(procs, flags, 256, 1 << 22, 200'000, 6000);
   base.strategy = MigrationStrategy::kFluid;
   base.batch_size = flags.GetInt("batch_size", 16);
-  base.chunk_bytes = ChunkBytesFromFlags(flags);
-  base.chunk_bytes_per_step = ChunkStepBytesFromFlags(flags);
   base.flip_at_ms = flags.GetInt("flip_at_ms", base.duration_ms * 2 / 5);
   base.flip_worker = static_cast<uint32_t>(flags.GetInt("flip_worker", 0));
   base.flip_prob_pct = static_cast<uint32_t>(flags.GetInt("flip-pct", 90));
@@ -870,7 +820,7 @@ inline void RunFig24(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   base.adaptive_opts.cooldown_epochs =
       flags.GetInt("cooldown-epochs", 4 * base.stats_every);
   // 0 keeps load-only scoring; >0 makes the policy weigh a bin's
-  // resident bytes against its load before shipping it (PR 9's spill
+  // resident bytes against its load before shipping it (the spill
   // backend makes bins far larger than their traffic justifies moving).
   base.adaptive_opts.move_cost_per_byte =
       flags.GetDouble("move-cost-per-byte", 0.0);
@@ -882,11 +832,7 @@ inline void RunFig24(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
       base.num_bins, static_cast<unsigned long long>(base.flip_at_ms),
       base.flip_prob_pct, base.flip_worker);
 
-  j.Key("config").BeginObject();
-  j.Key("workload").Value("key-count");
-  j.Key("domain").Value(base.domain);
-  j.Key("rate").Value(base.rate);
-  j.Key("duration_ms").Value(base.duration_ms);
+  BeginCountConfig(j, "key-count", base);
   j.Key("bins").Value(static_cast<uint64_t>(base.num_bins));
   j.Key("flip_at_ms").Value(base.flip_at_ms);
   j.Key("flip_prob_pct").Value(static_cast<uint64_t>(base.flip_prob_pct));
@@ -908,46 +854,35 @@ inline void RunFig24(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   };
 
   const std::string want = flags.GetStr("controller", "adaptive");
-  struct Variant {
-    const char* label;
-    bool adaptive;
-  };
-  const Variant variants[] = {{"adaptive", true}, {"static", false}};
-  j.Key("variants").BeginArray();
-  for (const auto& v : variants) {
-    if (want != "all" && want != v.label) continue;
+  VariantRunner runner(procs, j);
+  for (auto [label, adaptive] :
+       {std::pair{"adaptive", true}, std::pair{"static", false}}) {
+    if (want != "all" && want != label) continue;
     CountBenchConfig cfg = base;
-    cfg.adaptive = v.adaptive;
-    auto r = procs.Run(cfg);
-    if (!r.root) continue;
-
-    const uint64_t flip_ns = cfg.flip_at_ms * 1'000'000;
-    Histogram pre = pool(r.timeline, 0, flip_ns);
-    // Post-rebalance window: after the last policy-issued migration
-    // drained (static variant: right after the flip, unmitigated).
-    const uint64_t post_from =
-        r.rebalanced_sec > 0 ? static_cast<uint64_t>(r.rebalanced_sec * 1e9)
-                             : flip_ns;
-    Histogram post = pool(r.timeline, post_from, ~uint64_t{0});
-    double pre_p99 = static_cast<double>(pre.Quantile(0.99)) * 1e-6;
-    double post_p99 = static_cast<double>(post.Quantile(0.99)) * 1e-6;
-
-    PrintTimeline(v.label, r.timeline);
-    PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
-    std::printf("# %s: plans=%zu reaction=%.1f ms pre-flip p99=%.3f ms "
-                "post p99=%.3f ms\n\n",
-                v.label, r.plans_issued, r.reaction_ms, pre_p99, post_p99);
-
-    benchjson::BeginVariant(j, v.label, cfg.strategy, r);
-    j.Key("plans_issued").Value(static_cast<uint64_t>(r.plans_issued));
-    j.Key("reaction_ms").Value(r.reaction_ms);
-    j.Key("flip_sec").Value(r.flip_sec);
-    j.Key("rebalanced_sec").Value(r.rebalanced_sec);
-    benchjson::HistSummary(j, "pre_flip", pre);
-    benchjson::HistSummary(j, "post_rebalance", post);
-    j.EndObject();
+    cfg.adaptive = adaptive;
+    runner.Run(label, cfg, cfg.strategy, [&](const CountBenchResult& r) {
+      const uint64_t flip_ns = cfg.flip_at_ms * 1'000'000;
+      Histogram pre = pool(r.timeline, 0, flip_ns);
+      // Post-rebalance window: after the last policy-issued migration
+      // drained (static variant: right after the flip, unmitigated).
+      const uint64_t post_from =
+          r.rebalanced_sec > 0 ? static_cast<uint64_t>(r.rebalanced_sec * 1e9)
+                               : flip_ns;
+      Histogram post = pool(r.timeline, post_from, ~uint64_t{0});
+      std::printf("# plans=%zu reaction=%.1f ms pre-flip p99=%.3f ms "
+                  "post p99=%.3f ms\n",
+                  r.plans_issued, r.reaction_ms,
+                  static_cast<double>(pre.Quantile(0.99)) * 1e-6,
+                  static_cast<double>(post.Quantile(0.99)) * 1e-6);
+      j.Key("plans_issued").Value(static_cast<uint64_t>(r.plans_issued));
+      j.Key("reaction_ms").Value(r.reaction_ms);
+      j.Key("flip_sec").Value(r.flip_sec);
+      j.Key("rebalanced_sec").Value(r.rebalanced_sec);
+      benchjson::HistSummary(j, "pre_flip", pre);
+      benchjson::HistSummary(j, "post_rebalance", post);
+    });
   }
-  j.EndArray();
+  runner.End();
 }
 
 // -------------------------------------------------- fig 25 (spill drill)
@@ -964,25 +899,20 @@ inline void RunFig24(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
 /// timing-dependent): a MapState and a LogState run of the same schedule
 /// must agree byte-for-byte.
 inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
-  CountBenchConfig base;
-  base.workers = procs.total_workers();
-  base.num_bins = static_cast<uint32_t>(flags.GetInt("bins", 64));
-  base.domain = flags.GetInt("domain", 1 << 14);
-  base.rate = flags.GetDouble("rate", 50'000);
-  base.duration_ms = DurationMsFromFlags(flags, base.rate, 4000);
+  CountBenchConfig base = CountConfigFromFlags(
+      procs, flags, 64, 1 << 14, 50'000, 4000, /*chunk_bytes=*/256 << 10);
   base.value_pad_bytes = flags.GetInt("pad", 1 << 14);
   base.strategy = MigrationStrategy::kFluid;
   base.batch_size = flags.GetInt("batch_size", 16);
-  base.chunk_bytes = ChunkBytesFromFlags(flags, 256 << 10);
-  base.chunk_bytes_per_step = ChunkStepBytesFromFlags(flags);
   // The memtable bound is per bin: it must sit well under the per-bin
   // state share (total_state / bins) or nothing ever spills and the
   // "bounded RSS" claim is vacuous. 64 KB x 64 bins = 4 MB resident
   // write-back budget per process at the default sizing.
   base.spill_memtable_bytes = flags.GetInt("spill-memtable-bytes", 64 << 10);
-  base.spill_segment_bytes = flags.GetInt("spill-segment-bytes", 0);
   const uint64_t migrate_at =
       flags.GetInt("migrate_at_ms", base.duration_ms / 3);
+  base.schedule = {
+      {migrate_at, MakeImbalancedAssignment(base.num_bins, base.workers)}};
   // Total state ~= every key's pad + count, ignoring container overhead
   // (which only makes the in-memory baseline worse).
   const uint64_t total_state = base.domain * (base.value_pad_bytes + 8);
@@ -1001,58 +931,38 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
       static_cast<unsigned long long>(rss_cap >> 20), base.rate,
       static_cast<unsigned long long>(base.chunk_bytes >> 10));
 
-  j.Key("config").BeginObject();
-  j.Key("workload").Value("pad-count");
-  j.Key("domain").Value(base.domain);
+  BeginCountConfig(j, "pad-count", base);
   j.Key("value_pad_bytes").Value(base.value_pad_bytes);
   j.Key("total_state_bytes").Value(total_state);
   j.Key("rss_cap_bytes").Value(rss_cap);
-  j.Key("rate").Value(base.rate);
-  j.Key("duration_ms").Value(base.duration_ms);
   j.Key("bins").Value(static_cast<uint64_t>(base.num_bins));
   j.Key("migrate_at_ms").Value(migrate_at);
   j.Key("chunk_bytes").Value(base.chunk_bytes);
   j.Key("spill_memtable_bytes").Value(base.spill_memtable_bytes);
   j.EndObject();
 
-  struct Variant {
-    const char* label;
-    CountMode mode;
-  };
-  const Variant variants[] = {
-      {"map-state", CountMode::kPadCount},
-      {"log-state", CountMode::kSpillCount},
-  };
-
-  j.Key("variants").BeginArray();
-  for (const auto& v : variants) {
-    if (!VariantEnabled(flags, v.label, base.strategy)) continue;
+  VariantRunner runner(procs, j);
+  for (auto [label, mode] : {std::pair{"map-state", CountMode::kPadCount},
+                             std::pair{"log-state", CountMode::kSpillCount}}) {
+    if (!VariantEnabled(flags, label, base.strategy)) continue;
     CountBenchConfig cfg = base;
-    cfg.mode = v.mode;
-    if (v.mode == CountMode::kSpillCount) cfg.state_dir = spill_dir;
-    cfg.migrations.push_back(
-        {migrate_at, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
-    auto r = procs.Run(cfg);
-    if (!r.root) continue;
-    uint64_t peak = 0;
-    for (const auto& [t, bytes] : r.rss_samples) {
-      peak = std::max(peak, bytes);
-    }
-    PrintTimeline(v.label, r.timeline);
-    PrintMigrationSummary(v.label, cfg.num_bins, "bins", r.migrations);
-    std::printf("# %s: peak rss = %llu MB (cap %llu MB%s), max during "
-                "migration = %.3f ms\n\n",
-                v.label, static_cast<unsigned long long>(peak >> 20),
-                static_cast<unsigned long long>(rss_cap >> 20),
-                v.mode == CountMode::kSpillCount
-                    ? (peak <= rss_cap ? ", UNDER" : ", OVER")
-                    : "",
-                MaxDuringMigration(r.migrations));
-    benchjson::BeginVariant(j, v.label, cfg.strategy, r);
-    j.Key("under_rss_cap").Value(peak <= rss_cap);
-    j.EndObject();
+    cfg.mode = mode;
+    if (mode == CountMode::kSpillCount) cfg.state_dir = spill_dir;
+    runner.Run(label, cfg, cfg.strategy, [&](const CountBenchResult& r) {
+      uint64_t peak = 0;
+      for (const auto& [t, bytes] : r.rss_samples) {
+        peak = std::max(peak, bytes);
+      }
+      std::printf("# peak rss = %llu MB (cap %llu MB%s)\n",
+                  static_cast<unsigned long long>(peak >> 20),
+                  static_cast<unsigned long long>(rss_cap >> 20),
+                  mode == CountMode::kSpillCount
+                      ? (peak <= rss_cap ? ", UNDER" : ", OVER")
+                      : "");
+      j.Key("under_rss_cap").Value(peak <= rss_cap);
+    });
   }
-  j.EndArray();
+  runner.End();
 
   // Backend equivalence: the deterministic harness run twice — MapState
   // vs LogState with a memtable small enough to force real segment
@@ -1070,8 +980,7 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     dc.strategy = MigrationStrategy::kFluid;
     dc.chunk_bytes = 4096;
     dc.chunk_bytes_per_step = 16384;
-    timely::Config single;
-    single.workers = dc.total_workers;
+    const timely::Config single{dc.total_workers};
     DetCountResult ref = RunDeterministicCount(dc, single);
     DetCountConfig dl = dc;
     dl.backend = DetCountConfig::Backend::kLog;
@@ -1123,9 +1032,8 @@ inline void RunRecovery(const Flags& flags, JsonWriter& j) {
               static_cast<unsigned long long>(die_at),
               log_backend ? "log" : "map");
 
-  timely::Config single;
-  single.workers = base.total_workers;
-  DetCountResult ref = RunDeterministicCount(base, single);
+  DetCountResult ref =
+      RunDeterministicCount(base, timely::Config{base.total_workers});
   MEGA_CHECK(ref.root);
 
   char tmpl[] = "/tmp/mega_recovery_XXXXXX";
@@ -1380,16 +1288,9 @@ inline int BenchDriverMain(int argc, char** argv) {
       "out", fig == kFigTable1
                  ? std::string("megabench_table01.json")
                  : "megabench_fig" + std::to_string(fig) + ".json");
-  if (out != "none") {
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open --out=%s\n", out.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%s\n", j.Str().c_str());
-    std::fclose(f);
-    std::printf("# report written to %s\n", out.c_str());
-  }
+  if (out == "none") return 0;
+  if (!WriteJsonFile(out, j)) return 1;
+  std::printf("# report written to %s\n", out.c_str());
   return 0;
 }
 

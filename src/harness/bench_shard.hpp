@@ -5,7 +5,7 @@
 // tracker replica (so network delay is part of the measurement, exactly
 // what the paper's cluster runs see). At shutdown every process encodes
 // its observations into a BenchShard and ships it over the dataflow to
-// global worker 0 — the wire serde path below — where the shards merge
+// global worker 0 over a SideChannel (below), where the shards merge
 // (harness/open_loop.hpp) into the single report the figure benches print.
 #pragma once
 
@@ -58,41 +58,51 @@ struct BenchShard {
                     migrations, outputs, records_sent, duration_sec, rss)
 };
 
-/// A side channel in the bench dataflow that carries encoded BenchShards
-/// to global worker 0. Every worker holds the input handle (and must
-/// close it); only each process's local root sends. The collected shards
-/// are complete once the dataflow drains (Execute returns).
-template <typename T>
-struct ShardChannel {
-  timely::Input<std::vector<uint8_t>, T> in;
-  std::shared_ptr<std::vector<BenchShard>> shards;  // filled on worker 0
+/// A terminal operator that hands every batch of `stream` to
+/// `consume(t, recs)` under `pact` and returns a probe on its own input
+/// port: once the probe passes t, every record below t has been consumed.
+template <typename D, typename T, typename P, typename F>
+timely::ProbeHandle<T> ConsumingProbe(timely::Stream<D, T> stream,
+                                      const char* name, P pact, F consume) {
+  timely::Scope<T>& s = *stream.scope();
+  timely::OperatorBuilder<T> b(s, name);
+  auto* in = b.AddInput(stream, std::move(pact));
+  const uint32_t loc = in->loc();
+  b.Build([in, consume = std::move(consume)](timely::OpCtx<T>&) {
+    in->ForEach([&](const T& t, std::vector<D>& recs) { consume(t, recs); });
+  });
+  return timely::ProbeHandle<T>(s.df()->shared(), loc);
+}
 
-  /// Sends this process's shard and closes the channel.
-  void Finish(const BenchShard& shard) {
-    in->Send(EncodeToBytes(shard));
-    in->Close();
-  }
+/// A side channel to global worker 0: every worker holds `in` (and must
+/// advance and close it); messages Exchange to worker 0, where they decode
+/// into `inbox` in arrival order. `probe` reports the frontier at the
+/// collector's input, so once it passes t worker 0 has consumed every
+/// message sent below t. Bench shards and adaptive stats reports both
+/// travel this way.
+template <typename M, typename T>
+struct SideChannel {
+  timely::Input<std::vector<uint8_t>, T> in;
+  std::shared_ptr<std::vector<M>> inbox;  // filled on worker 0
+  timely::ProbeHandle<T> probe;
+
+  /// Encodes and ships one message at the input's current epoch.
+  void Send(const M& m) { in->Send(EncodeToBytes(m)); }
 };
 
-/// Adds the shard side channel to a bench dataflow under construction.
-/// The collector runs on global worker 0; shards from every process land
-/// in `shards` in arrival order.
-template <typename T>
-ShardChannel<T> AddShardChannel(timely::Scope<T>& s) {
-  auto [in, stream] = timely::NewInput<std::vector<uint8_t>>(s);
-  auto shards = std::make_shared<std::vector<BenchShard>>();
-  timely::OperatorBuilder<T> b(s, "BenchShards");
-  auto* cin = b.AddInput(
-      stream, timely::Pact<std::vector<uint8_t>>::Exchange(
-                  [](const std::vector<uint8_t>&) { return uint64_t{0}; }));
-  b.Build([cin, shards](timely::OpCtx<T>&) {
-    cin->ForEach([&](const T&, std::vector<std::vector<uint8_t>>& recs) {
-      for (auto& bytes : recs) {
-        shards->push_back(DecodeFromBytes<BenchShard>(bytes));
-      }
-    });
-  });
-  return ShardChannel<T>{std::move(in), std::move(shards)};
+/// Adds a side channel carrying `M` to a dataflow under construction.
+template <typename M, typename T>
+SideChannel<M, T> AddSideChannel(timely::Scope<T>& s, const char* name) {
+  using Bytes = std::vector<uint8_t>;
+  auto [in, stream] = timely::NewInput<Bytes>(s);
+  auto inbox = std::make_shared<std::vector<M>>();
+  auto probe = ConsumingProbe(
+      stream, name,
+      timely::Pact<Bytes>::Exchange([](const Bytes&) { return uint64_t{0}; }),
+      [inbox](const T&, std::vector<Bytes>& recs) {
+        for (auto& bytes : recs) inbox->push_back(DecodeFromBytes<M>(bytes));
+      });
+  return SideChannel<M, T>{std::move(in), std::move(inbox), std::move(probe)};
 }
 
 }  // namespace megaphone

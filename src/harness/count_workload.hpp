@@ -1,8 +1,14 @@
-// The counting micro-benchmark workload and its open-loop driver
-// (paper §5.2, §5.3): a stream of uniformly random 64-bit identifiers whose
-// per-identifier occurrence counts are maintained as operator state.
+// The counting workload (paper §5.2, §5.3): a stream of uniformly random
+// 64-bit identifiers whose per-identifier occurrence counts are operator
+// state. Three drivers run it:
+//   * RunCountBench, the open-loop figure driver (below);
+//   * RunDeterministicCount, the lockstep multi-process correctness
+//     harness (further below);
+//   * RunSteadyThroughput, the closed-loop throughput suite
+//     (steady_workload.hpp).
 //
-// Operator variants provided:
+// The count operator of every mode is built in one place,
+// detail::BuildCountOperator:
 //   * kHashCount — Megaphone operator, bins hold hash maps ("hash count");
 //   * kKeyCount  — Megaphone operator, bins hold dense arrays ("key count");
 //   * kNativeHash / kNativeKey — hand-tuned timely operators without
@@ -10,12 +16,16 @@
 //   * kPadCount / kSpillCount — counts carrying a configurable byte pad
 //     per key, held in the in-memory MapState vs. the spill-to-disk
 //     LogState: the fig. 25 memory-bound pair.
+// The deterministic harness keeps its own fold, which emits every
+// running count to a collector: that is its digest oracle. Both count
+// drivers pick record keys with detail::KeyGen and walk their migrations
+// with MigrationSchedule (migration_schedule.hpp).
 //
-// The driver is open-loop: records are injected at their scheduled wall
-// deadline regardless of system responsiveness, and per-epoch completion
-// is observed through a probe on the operator output. What counts as a
-// latency sample, a migration window and steady state is defined once,
-// in harness/open_loop.hpp, which the NEXMark driver shares.
+// The open-loop driver injects records at their scheduled wall deadline
+// regardless of system responsiveness, and observes per-epoch completion
+// through a probe on the operator output. What counts as a latency
+// sample, a migration window and steady state is defined once, in
+// harness/open_loop.hpp, which the NEXMark driver shares.
 #pragma once
 
 #include <atomic>
@@ -24,10 +34,10 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,6 +46,7 @@
 #include "common/rate_limiter.hpp"
 #include "common/time_util.hpp"
 #include "harness/bench_shard.hpp"
+#include "harness/migration_schedule.hpp"
 #include "harness/open_loop.hpp"
 #include "megaphone/megaphone.hpp"
 #include "state/checkpoint.hpp"
@@ -83,7 +94,6 @@ struct CountBenchConfig {
   double rate = 500'000;      // records/second, all workers combined
   uint64_t duration_ms = 3000;
   CountMode mode = CountMode::kKeyCount;
-  bool preload = true;  // touch every key before measuring
   uint64_t state_bytes_per_sec = 0;
   /// State-chunk frame bound and per-step flow-control budget
   /// (megaphone::Config::chunk_bytes / chunk_bytes_per_step; 0 =
@@ -91,11 +101,8 @@ struct CountBenchConfig {
   uint64_t chunk_bytes = 0;
   uint64_t chunk_bytes_per_step = 0;
 
-  struct Migration {
-    uint64_t at_ms;  // relative to measurement start
-    Assignment to;
-  };
-  std::vector<Migration> migrations;
+  /// Migrations, at ms since the measurement start.
+  MigrationPlan schedule;
   MigrationStrategy strategy = MigrationStrategy::kBatched;
   size_t batch_size = 16;
   uint64_t gap_ms = 0;
@@ -105,11 +112,10 @@ struct CountBenchConfig {
 
   /// Byte payload each key's value carries (kPadCount / kSpillCount).
   uint64_t value_pad_bytes = 0;
-  /// Spill backend knobs (kSpillCount): segment directory and LogState
-  /// thresholds. Empty / 0 keep the process-global defaults.
+  /// Spill backend knobs (kSpillCount): segment directory and memtable
+  /// bound. Empty / 0 keep the process-global defaults.
   std::string state_dir;
   uint64_t spill_memtable_bytes = 0;
-  uint64_t spill_segment_bytes = 0;
 
   /// Closed-loop adaptive control (megaphone modes only): every
   /// `stats_every` epochs each worker ships its per-bin statistics to
@@ -134,7 +140,6 @@ struct CountBenchResult : OpenLoopResult {
   double flip_sec = -1;
   double rebalanced_sec = -1;
   size_t plans_issued = 0;
-  std::vector<std::pair<uint64_t, Assignment>> plans;
 };
 
 namespace detail {
@@ -182,6 +187,135 @@ inline uint64_t HotRangeKey(uint64_t seed, uint64_t idx, uint64_t domain,
   return bin * keys_per_bin + (h >> 32) % keys_per_bin;
 }
 
+/// The key of every count driver's record `idx`. While `skew` holds, the
+/// SkewedRecord share of records gets a hot key on `hot_worker`'s initial
+/// bins (HotHashKey under hash binning, HotRangeKey under key-range
+/// binning); every other record gets the uniform CountKey.
+struct KeyGen {
+  uint64_t seed;
+  uint64_t domain;
+  uint32_t num_bins;
+  uint32_t workers;
+  uint32_t hot_worker;
+  uint32_t hot_pct;
+  bool hash_bins;
+
+  uint64_t operator()(uint64_t idx, bool skew) const {
+    if (!skew || !SkewedRecord(seed, idx, hot_pct)) {
+      return CountKey(seed, idx, domain);
+    }
+    return hash_bins
+               ? HotHashKey(seed, idx, domain, num_bins, workers, hot_worker)
+               : HotRangeKey(seed, idx, domain, num_bins, workers, hot_worker);
+  }
+};
+
+/// A built count operator: its output probe and, in the Megaphone modes,
+/// the per-bin statistics hook the adaptive controller reads.
+template <typename T>
+struct CountOperator {
+  timely::ProbeHandle<T> probe;
+  std::function<void(BinStats&)> take_stats;
+};
+
+/// Builds the count operator of `cfg.mode` over `data`; the Megaphone
+/// modes also read `ctrl`. Every count driver's operator comes from here
+/// but the deterministic harness's, whose fold feeds its digest.
+template <typename T>
+CountOperator<T> BuildCountOperator(const CountBenchConfig& cfg,
+                                    timely::Stream<ControlInst, T> ctrl,
+                                    timely::Stream<uint64_t, T> data) {
+  MEGA_CHECK((cfg.domain & (cfg.domain - 1)) == 0) << "domain: power of two";
+  MEGA_CHECK_GE(cfg.domain, cfg.num_bins);
+  Config mcfg;
+  mcfg.num_bins = cfg.num_bins;
+  mcfg.state_bytes_per_sec = cfg.state_bytes_per_sec;
+  mcfg.chunk_bytes = cfg.chunk_bytes;
+  mcfg.chunk_bytes_per_step = cfg.chunk_bytes_per_step;
+  mcfg.name = CountModeName(cfg.mode);
+  auto mega = [](auto out) {
+    return CountOperator<T>{out.probe, out.take_bin_stats};
+  };
+  auto hash_key = [](const uint64_t& k) { return HashMix64(k); };
+  switch (cfg.mode) {
+    case CountMode::kHashCount: {
+      using S = state::MapState<uint64_t, uint64_t>;
+      return mega(Unary<S, uint64_t>(
+          ctrl, data, hash_key,
+          [](const T&, S& state, std::vector<uint64_t>& recs, auto, auto&) {
+            for (uint64_t k : recs) state[k]++;
+          },
+          mcfg));
+    }
+    case CountMode::kKeyCount: {
+      using S = state::DenseState<uint64_t>;
+      const int shift = 64 - Log2(cfg.domain);
+      const uint64_t keys_per_bin = cfg.domain / cfg.num_bins;
+      const uint64_t slot_mask = keys_per_bin - 1;
+      return mega(Unary<S, uint64_t>(
+          ctrl, data, [shift](const uint64_t& k) { return k << shift; },
+          [keys_per_bin, slot_mask](const T&, S& state,
+                                    std::vector<uint64_t>& recs, auto,
+                                    auto&) {
+            if (state.empty()) state.resize(keys_per_bin);
+            for (uint64_t k : recs) state[k & slot_mask]++;
+          },
+          mcfg));
+    }
+    case CountMode::kPadCount:
+    case CountMode::kSpillCount: {
+      // One fold, two backends: the bin layer treats a ChunkableState
+      // type as its own backend, so the map/log pair differs only in the
+      // declared state type.
+      auto fold = [pad = cfg.value_pad_bytes](const T&, auto& state,
+                                              std::vector<uint64_t>& recs,
+                                              auto, auto&) {
+        for (uint64_t k : recs) {
+          PadCount& v = state[k];
+          if (pad != 0 && v.pad.empty()) v.pad.assign(pad, 0xa5);
+          v.count++;
+        }
+      };
+      if (cfg.mode == CountMode::kPadCount) {
+        return mega(Unary<state::MapState<uint64_t, PadCount>, uint64_t>(
+            ctrl, data, hash_key, fold, mcfg));
+      }
+      return mega(Unary<state::LogState<uint64_t, PadCount>, uint64_t>(
+          ctrl, data, hash_key, fold, mcfg));
+    }
+    case CountMode::kNativeHash: {
+      using S = std::unordered_map<uint64_t, uint64_t>;
+      return {timely::Probe(timely::StatefulUnary<S, uint64_t>(
+                  data, "NativeHashCount", hash_key,
+                  [](const T&, std::vector<uint64_t>& recs, S& state,
+                     timely::OpCtx<T>&, timely::OutputHandle<uint64_t, T>&) {
+                    for (uint64_t k : recs) state[k]++;
+                  })),
+              {}};
+    }
+    case CountMode::kNativeKey: {
+      struct S {
+        std::vector<uint64_t> counts;
+      };
+      const uint32_t workers = data.scope()->peers();
+      return {timely::Probe(timely::StatefulUnary<S, uint64_t>(
+                  data, "NativeKeyCount",
+                  [](const uint64_t& k) { return k; },  // worker = key % W
+                  [workers, domain = cfg.domain](
+                      const T&, std::vector<uint64_t>& recs, S& state,
+                      timely::OpCtx<T>&, timely::OutputHandle<uint64_t, T>&) {
+                    if (state.counts.empty()) {
+                      state.counts.resize(domain / workers + 1);
+                    }
+                    for (uint64_t k : recs) state.counts[k / workers]++;
+                  })),
+              {}};
+    }
+  }
+  MEGA_CHECK(false) << "unknown count mode";
+  return {};
+}
+
 }  // namespace detail
 
 /// Runs the counting workload; see CountBenchConfig. Each process's local
@@ -191,207 +325,77 @@ inline uint64_t HotRangeKey(uint64_t seed, uint64_t idx, uint64_t domain,
 /// `tcfg.workers * tcfg.processes` must equal `cfg.workers`.
 inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
                                       const timely::Config& tcfg) {
-  using timely::OpCtx;
-  using timely::Scope;
-  using timely::Worker;
   using T = uint64_t;
-
-  MEGA_CHECK((cfg.domain & (cfg.domain - 1)) == 0) << "domain: power of two";
-  MEGA_CHECK_GE(cfg.domain, cfg.num_bins);
   MEGA_CHECK_EQ(tcfg.workers * std::max(1u, tcfg.processes), cfg.workers);
 
   CountBenchResult result;
-  std::mutex result_mu;
-  std::shared_ptr<std::vector<BenchShard>> root_shards;
-  std::atomic<uint64_t> t0{0};  // measurement origin (set after preload)
-  std::atomic<uint64_t> total_sent{0};
-
-  const int log_domain = detail::Log2(cfg.domain);
-  const uint64_t keys_per_bin = cfg.domain / cfg.num_bins;
+  OpenLoopRun run;
   const bool is_native = cfg.mode == CountMode::kNativeHash ||
                          cfg.mode == CountMode::kNativeKey;
+  const bool adaptive = cfg.adaptive && !is_native;
 
   // LogState backends are default-constructed inside bins and snapshot
   // the process-global options at construction, so the spill knobs must
   // be published before any worker thread builds a dataflow.
   if (cfg.mode == CountMode::kSpillCount) {
-    state::PublishLogStateOptions(cfg.state_dir, cfg.spill_memtable_bytes,
-                                  cfg.spill_segment_bytes);
+    state::PublishLogStateOptions(cfg.state_dir, cfg.spill_memtable_bytes);
   }
 
-  timely::Execute(tcfg, [&](Worker& w) {
-    struct Handles {
-      timely::Input<ControlInst, T> ctrl;
-      timely::Input<uint64_t, T> data;
-      timely::ProbeHandle<T> probe;
-      ShardChannel<T> rep;
-      StatsChannel<T> stats;  // adaptive runs only
-      std::function<void(BinStats&)> take_stats;
-    };
-    auto handles = w.Dataflow<T>([&](Scope<T>& s) -> Handles {
-      auto [ctrl_in, ctrl_stream] = timely::NewInput<ControlInst>(s);
-      auto [data_in, data_stream] = timely::NewInput<uint64_t>(s);
-      ShardChannel<T> rep = AddShardChannel(s);
-      StatsChannel<T> stats;
-      if (cfg.adaptive && !is_native) stats = AddStatsChannel(s);
-      std::function<void(BinStats&)> take_stats;
-      timely::ProbeHandle<T> probe;
-      Config mcfg;
-      mcfg.num_bins = cfg.num_bins;
-      mcfg.state_bytes_per_sec = cfg.state_bytes_per_sec;
-      mcfg.chunk_bytes = cfg.chunk_bytes;
-      mcfg.chunk_bytes_per_step = cfg.chunk_bytes_per_step;
-      mcfg.name = CountModeName(cfg.mode);
-      switch (cfg.mode) {
-        case CountMode::kHashCount: {
-          using BinState = state::MapState<uint64_t, uint64_t>;
-          auto out = Unary<BinState, uint64_t>(
-              ctrl_stream, data_stream,
-              [](const uint64_t& k) { return HashMix64(k); },
-              [](const T&, BinState& state, std::vector<uint64_t>& recs,
-                 auto, auto&) {
-                for (uint64_t k : recs) state[k]++;
-              },
-              mcfg);
-          probe = out.probe;
-          take_stats = out.take_bin_stats;
-          break;
-        }
-        case CountMode::kKeyCount: {
-          using DenseBin = state::DenseState<uint64_t>;
-          const int shift = 64 - log_domain;
-          const uint64_t slot_mask = keys_per_bin - 1;
-          auto out = Unary<DenseBin, uint64_t>(
-              ctrl_stream, data_stream,
-              [shift](const uint64_t& k) { return k << shift; },
-              [keys_per_bin, slot_mask](const T&, DenseBin& state,
-                                        std::vector<uint64_t>& recs, auto,
-                                        auto&) {
-                if (state.empty()) state.resize(keys_per_bin);
-                for (uint64_t k : recs) state[k & slot_mask]++;
-              },
-              mcfg);
-          probe = out.probe;
-          take_stats = out.take_bin_stats;
-          break;
-        }
-        case CountMode::kPadCount:
-        case CountMode::kSpillCount: {
-          // One fold, two backends: the bin layer treats a ChunkableState
-          // type as its own backend, so the map/log pair differs only in
-          // the declared state type.
-          auto build = [&]<typename BinState>() {
-            auto out = Unary<BinState, uint64_t>(
-                ctrl_stream, data_stream,
-                [](const uint64_t& k) { return HashMix64(k); },
-                [pad = cfg.value_pad_bytes](const T&, BinState& state,
-                                            std::vector<uint64_t>& recs,
-                                            auto, auto&) {
-                  for (uint64_t k : recs) {
-                    PadCount& v = state[k];
-                    if (pad != 0 && v.pad.empty()) v.pad.assign(pad, 0xa5);
-                    v.count++;
-                  }
-                },
-                mcfg);
-            probe = out.probe;
-            take_stats = out.take_bin_stats;
-          };
-          if (cfg.mode == CountMode::kPadCount) {
-            build.template operator()<state::MapState<uint64_t, PadCount>>();
-          } else {
-            build.template
-            operator()<state::LogState<uint64_t, PadCount>>();
+  timely::Execute(tcfg, [&](timely::Worker& w) {
+    auto [ctrl_in, data_in, rep, stats, op] =
+        w.Dataflow<T>([&](timely::Scope<T>& s) {
+          auto [ctrl, ctrl_stream] = timely::NewInput<ControlInst>(s);
+          auto [data, data_stream] = timely::NewInput<uint64_t>(s);
+          auto shards = AddSideChannel<BenchShard>(s, "BenchShards");
+          SideChannel<BinStatsReport, T> reports;  // adaptive runs only
+          if (adaptive) {
+            reports = AddSideChannel<BinStatsReport>(s, "BinStats");
           }
-          break;
-        }
-        case CountMode::kNativeHash: {
-          using State = std::unordered_map<uint64_t, uint64_t>;
-          auto out = timely::StatefulUnary<State, uint64_t>(
-              data_stream, "NativeHashCount",
-              [](const uint64_t& k) { return HashMix64(k); },
-              [](const T&, std::vector<uint64_t>& recs, State& state,
-                 OpCtx<T>&, timely::OutputHandle<uint64_t, T>&) {
-                for (uint64_t k : recs) state[k]++;
-              });
-          probe = timely::Probe(out);
-          break;
-        }
-        case CountMode::kNativeKey: {
-          struct State {
-            std::vector<uint64_t> counts;
-          };
-          const uint32_t workers = s.peers();
-          auto out = timely::StatefulUnary<State, uint64_t>(
-              data_stream, "NativeKeyCount",
-              [](const uint64_t& k) { return k; },  // worker = key % W
-              [workers, domain = cfg.domain](const T&,
-                                             std::vector<uint64_t>& recs,
-                                             State& state, OpCtx<T>&,
-                                             timely::OutputHandle<uint64_t, T>&) {
-                if (state.counts.empty()) {
-                  state.counts.resize(domain / workers + 1);
-                }
-                for (uint64_t k : recs) state.counts[k / workers]++;
-              });
-          probe = timely::Probe(out);
-          break;
-        }
-      }
-      return Handles{ctrl_in, data_in, probe, std::move(rep),
-                     std::move(stats), std::move(take_stats)};
-    });
-    auto& [ctrl_in, data_in, probe, rep, stats, take_stats] = handles;
-
-    typename MigrationController<T>::Options mopts;
-    mopts.strategy = cfg.strategy;
-    mopts.batch_size = cfg.batch_size;
-    mopts.gap = cfg.gap_ms;  // epochs are 1 ms by default
-    MigrationController<T> controller(ctrl_in, probe, w.index(), mopts);
+          return std::tuple{
+              ctrl, data, std::move(shards), std::move(reports),
+              detail::BuildCountOperator(cfg, ctrl_stream, data_stream)};
+        });
+    // Epochs are 1 ms by default, so the gap is in ms.
+    MigrationController<T> controller(
+        ctrl_in, op.probe, w.index(),
+        {cfg.strategy, cfg.batch_size, cfg.gap_ms});
 
     // ---- Preload: touch every key once at epoch 0, then wait. ----------
-    if (cfg.preload) {
-      std::vector<uint64_t> batch;
-      for (uint64_t k = w.index(); k < cfg.domain; k += cfg.workers) {
-        batch.push_back(k);
-        if (batch.size() == 4096) {
-          data_in->SendBatch(std::move(batch));
-          batch.clear();
-          w.Step();
-          std::this_thread::yield();
-        }
+    std::vector<uint64_t> batch;
+    for (uint64_t k = w.index(); k < cfg.domain; k += cfg.workers) {
+      batch.push_back(k);
+      if (batch.size() == 4096) {
+        data_in->SendBatch(std::move(batch));
+        batch.clear();
+        w.Step();
+        std::this_thread::yield();
       }
-      data_in->SendBatch(std::move(batch));
     }
+    data_in->SendBatch(std::move(batch));
     if (!is_native) controller.Advance(0, 1);
     data_in->AdvanceTo(1);
-    w.StepUntil([&] { return !probe.LessThan(1); });
+    w.StepUntil([&] { return !op.probe.LessThan(1); });
 
     // ---- Measurement origin, shared across workers. --------------------
-    uint64_t expected = 0;
-    t0.compare_exchange_strong(expected, NowNanos());
-    const uint64_t start = t0.load();
+    const uint64_t start = run.Start();
     const uint64_t end = start + cfg.duration_ms * 1'000'000;
     OpenLoopPacer pacer(cfg.rate, start);
-
-    Assignment current = MakeInitialAssignment(cfg.num_bins, cfg.workers);
-    size_t next_mig = 0;
+    MigrationSchedule schedule(
+        cfg.schedule, MakeInitialAssignment(cfg.num_bins, cfg.workers));
 
     // Closed loop: reports land on (and plans come from) global worker 0.
-    const bool adaptive = cfg.adaptive && !is_native;
     std::optional<AdaptiveController<T>> actrl;
     if (adaptive && w.index() == 0) {
-      actrl.emplace(&controller, cfg.workers, current, cfg.adaptive_opts);
+      actrl.emplace(&controller, cfg.workers, schedule.current(),
+                    stats.inbox, cfg.adaptive_opts);
     }
-    size_t ingested = 0;           // reports folded into the policy so far
     uint64_t next_stats = cfg.stats_every;
     const uint64_t flip_ns =
         cfg.flip_at_ms ? start + cfg.flip_at_ms * 1'000'000 : UINT64_MAX;
-    const bool hash_bins = cfg.mode == CountMode::kHashCount ||
-                           cfg.mode == CountMode::kNativeHash ||
-                           cfg.mode == CountMode::kPadCount ||
-                           cfg.mode == CountMode::kSpillCount;
-    double reaction_ms = -1;
+    const detail::KeyGen key{cfg.seed, cfg.domain, cfg.num_bins, cfg.workers,
+                             cfg.flip_worker, cfg.flip_prob_pct,
+                             cfg.mode != CountMode::kKeyCount &&
+                                 cfg.mode != CountMode::kNativeKey};
 
     // Each sample stands for one epoch's worth of records.
     OpenLoopRecorder rec(
@@ -406,24 +410,15 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
       if (now >= end) break;
       uint64_t e = 1 + (now - start) / cfg.epoch_ns;
       if (e > cur_epoch) {
-        while (next_mig < cfg.migrations.size() &&
-               cfg.migrations[next_mig].at_ms * 1'000'000 + start <= now) {
-          controller.MigrateTo(current, cfg.migrations[next_mig].to);
-          current = cfg.migrations[next_mig].to;
-          next_mig++;
-        }
+        schedule.IssueDue((now - start) / 1'000'000, controller);
         if (adaptive && e >= next_stats) {
-          if (actrl) {
-            auto& reps = *stats.reports;
-            for (; ingested < reps.size(); ++ingested) {
-              actrl->Ingest(reps[ingested]);
-            }
-            if (actrl->Step(e) && reaction_ms < 0 && now >= flip_ns) {
-              reaction_ms = static_cast<double>(now - flip_ns) * 1e-6;
-            }
+          // Only worker 0 has actrl, so only it writes the result.
+          if (actrl && actrl->Step(e) && result.reaction_ms < 0 &&
+              now >= flip_ns) {
+            result.reaction_ms = static_cast<double>(now - flip_ns) * 1e-6;
           }
           BinStats bs;
-          take_stats(bs);
+          op.take_stats(bs);
           stats.Send(BinStatsReport::From(w.index(), e, std::move(bs)));
           next_stats += cfg.stats_every;
         }
@@ -433,26 +428,11 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
         cur_epoch = e;
       }
       // Open loop: inject everything due by now, regardless of backlog.
-      uint64_t due = pacer.RecordsDueBy(now);
-      uint64_t injected = 0;
+      const uint64_t due = pacer.RecordsDueBy(now);
       const bool flipped = now >= flip_ns;
-      while (sent < due && injected < 65536) {
-        uint64_t k;
-        if (flipped &&
-            detail::SkewedRecord(cfg.seed, sent, cfg.flip_prob_pct)) {
-          k = hash_bins
-                  ? detail::HotHashKey(cfg.seed, sent, cfg.domain,
-                                       cfg.num_bins, cfg.workers,
-                                       cfg.flip_worker)
-                  : detail::HotRangeKey(cfg.seed, sent, cfg.domain,
-                                        cfg.num_bins, cfg.workers,
-                                        cfg.flip_worker);
-        } else {
-          k = detail::CountKey(cfg.seed, sent, cfg.domain);
-        }
-        data_in->Send(k);
-        sent += cfg.workers;
-        injected++;
+      for (uint64_t injected = 0; sent < due && injected < 65536;
+           ++injected, sent += cfg.workers) {
+        data_in->Send(key(sent, flipped));
       }
       w.Step();
       // With more worker threads than cores the OS must round-robin the
@@ -463,49 +443,29 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
 
       if (w.IsLocalRoot()) {
         rec.Observe(
-            now, cur_epoch, [&](uint64_t e) { return !probe.LessEqual(e); },
+            now, cur_epoch, [&](uint64_t e) { return !op.probe.LessEqual(e); },
             controller.Migrating(), controller.completed_batches());
       }
     }
 
-    total_sent += (sent - w.index()) / cfg.workers;
-    if (!is_native) controller.Close(cur_epoch + 1);
-    data_in->Close();
-    if (adaptive) stats.in->Close();
-
-    if (w.IsLocalRoot()) {
-      // Drain the backlog, acking the remaining epochs. probe.Done()
-      // requires every process's inputs closed, so by the time it holds
-      // all local workers have added to total_sent.
-      w.StepUntil([&] { return probe.Done(); });
-      BenchShard shard = rec.Finish(NowNanos(), cur_epoch,
-                                    controller.completed_batches());
-      shard.process_index = tcfg.process_index;
-      shard.records_sent = total_sent.load();
-      rep.Finish(shard);
-      if (w.index() == 0) {
-        std::lock_guard<std::mutex> lock(result_mu);
-        root_shards = rep.shards;
-        if (actrl) {
-          result.reaction_ms = reaction_ms;
-          result.flip_sec = flip_ns == UINT64_MAX
-                                ? -1
-                                : static_cast<double>(flip_ns - start) * 1e-9;
-          result.plans_issued = actrl->plans().size();
-          result.plans = actrl->plans();
-        }
-      }
-    } else {
-      rep.in->Close();
+    run.Finish(
+        w, tcfg.process_index, (sent - w.index()) / cfg.workers, cur_epoch,
+        controller,
+        [&] {
+          data_in->Close();
+          if (adaptive) stats.in->Close();
+        },
+        op.probe, rec, rep);
+    if (actrl) {
+      result.flip_sec = flip_ns == UINT64_MAX
+                            ? -1
+                            : static_cast<double>(flip_ns - start) * 1e-9;
+      result.plans_issued = actrl->plans().size();
     }
   });
 
-  if (root_shards == nullptr) {
-    result.root = false;
-    return result;
-  }
-  detail::MergeShardsInto(std::move(*root_shards), &result);
-  if (result.plans_issued > 0 && !result.migrations.empty()) {
+  if (run.Merge(&result) && result.plans_issued > 0 &&
+      !result.migrations.empty()) {
     result.rebalanced_sec = result.migrations.back().end_sec;
   }
   return result;
@@ -542,7 +502,7 @@ struct DetCountConfig {
   /// Optional explicit migration schedule: (epoch, target assignment)
   /// pairs in nondecreasing epoch order, overriding migrate_at_epoch —
   /// how the property tests drive *random* reconfiguration sequences.
-  std::vector<std::pair<uint64_t, Assignment>> schedule;
+  MigrationPlan schedule;
   MigrationStrategy strategy = MigrationStrategy::kFluid;
   size_t batch_size = 1;
   /// State-chunk frame bound and per-step budget (0 = monolithic). The
@@ -608,7 +568,7 @@ struct DetCountResult {
   uint64_t start_epoch = 0;
   /// Plans the adaptive controller emitted, in epoch order (root only).
   /// Replaying them as `schedule` must reproduce `digest` byte-for-byte.
-  std::vector<std::pair<uint64_t, Assignment>> emitted_plans;
+  MigrationPlan emitted_plans;
   /// Final bin->worker assignment the adaptive controller converged to
   /// (root only; the initial assignment when no plan was emitted).
   Assignment final_assignment;
@@ -618,10 +578,6 @@ struct DetCountResult {
 /// workers * processes must equal cfg.total_workers).
 inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
                                             const timely::Config& tcfg) {
-  using timely::OpCtx;
-  using timely::Pact;
-  using timely::Scope;
-  using timely::Worker;
   using T = uint64_t;
   using KV = std::pair<uint64_t, uint64_t>;
 
@@ -634,7 +590,6 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
       << "adaptive + checkpoint/restore is not supported";
 
   DetCountResult result;
-  std::mutex result_mu;
   std::shared_ptr<std::map<uint64_t, uint64_t>> root_counts;
   std::atomic<uint64_t> total_sent{0};
 
@@ -672,24 +627,11 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
   };
   auto ck = ck_enabled ? std::make_shared<CkShared>(tcfg.workers) : nullptr;
 
-  timely::Execute(tcfg, [&](Worker& w) {
-    struct Handles {
-      timely::Input<ControlInst, T> ctrl;
-      timely::Input<uint64_t, T> data;
-      timely::ProbeHandle<T> probe;
-      /// Frontier past the collector's *consumption*: the S-output probe
-      /// alone cannot see records still in flight to worker 0's Collect
-      /// input (sibling ports do not constrain each other), and a
-      /// checkpoint must capture an exact collector.
-      timely::ProbeHandle<T> cprobe;
-      std::shared_ptr<std::map<uint64_t, uint64_t>> counts;
-      std::function<void(state::BinSnapshot&)> capture;
-      StatsChannel<T> stats;  // adaptive runs only
-      std::function<void(BinStats&)> take_stats;
-    };
-    auto handles = w.Dataflow<T>([&](Scope<T>& s) -> Handles {
-      auto [ctrl_in, ctrl_stream] = timely::NewInput<ControlInst>(s);
-      auto [data_in, data_stream] = timely::NewInput<uint64_t>(s);
+  timely::Execute(tcfg, [&](timely::Worker& w) {
+    auto [ctrl_in, data_in, probe, cprobe, counts, capture, stats,
+          take_stats] = w.Dataflow<T>([&](timely::Scope<T>& s) {
+      auto [ctrl, ctrl_stream] = timely::NewInput<ControlInst>(s);
+      auto [data, data_stream] = timely::NewInput<uint64_t>(s);
       Config mcfg;
       mcfg.num_bins = cfg.num_bins;
       mcfg.chunk_bytes = cfg.chunk_bytes;
@@ -725,74 +667,64 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
                 operator()<state::MapState<uint64_t, uint64_t>>();
 
       // Collector on global worker 0: the single point of truth any
-      // process split must agree with. The dummy output (never written)
-      // exists so a probe can observe the collector's consumption
-      // frontier.
-      auto counts = std::make_shared<std::map<uint64_t, uint64_t>>();
+      // process split must agree with. Its probe sees its *consumption*:
+      // the S-output probe alone cannot see records still in flight to
+      // worker 0's Collect input (sibling ports do not constrain each
+      // other), and a checkpoint must capture an exact collector.
+      auto collected = std::make_shared<std::map<uint64_t, uint64_t>>();
       if (start_epoch > 0 && s.worker() == 0 && !seg.collector.empty()) {
-        *counts =
+        *collected =
             DecodeFromBytes<std::map<uint64_t, uint64_t>>(seg.collector);
       }
-      timely::OperatorBuilder<T> cb(s, "Collect");
-      auto* cin = cb.AddInput(
-          out.stream, Pact<KV>::Exchange([](const KV&) { return uint64_t{0}; }));
-      auto [collect_out, collect_stream] = cb.template AddOutput<uint8_t>();
-      (void)collect_out;
-      cb.Build([cin, counts](OpCtx<T>&) {
-        cin->ForEach([&](const T&, std::vector<KV>& recs) {
-          for (auto& kc : recs) {
-            uint64_t& slot = (*counts)[kc.first];
-            if (kc.second > slot) slot = kc.second;
-          }
-        });
-      });
-      StatsChannel<T> stats;
-      if (cfg.adaptive) stats = AddStatsChannel(s);
-      return Handles{ctrl_in, data_in, out.probe,
-                     timely::Probe(collect_stream), counts,
-                     out.capture_bins, std::move(stats),
-                     out.take_bin_stats};
+      auto cprobe = ConsumingProbe(
+          out.stream, "Collect",
+          timely::Pact<KV>::Exchange([](const KV&) { return uint64_t{0}; }),
+          [collected](const T&, std::vector<KV>& recs) {
+            for (auto& kc : recs) {
+              uint64_t& slot = (*collected)[kc.first];
+              if (kc.second > slot) slot = kc.second;
+            }
+          });
+      SideChannel<BinStatsReport, T> reports;  // adaptive runs only
+      if (cfg.adaptive) {
+        reports = AddSideChannel<BinStatsReport>(s, "BinStats");
+      }
+      return std::tuple{ctrl, data, out.probe, cprobe, collected,
+                        out.capture_bins, std::move(reports),
+                        out.take_bin_stats};
     });
-    auto& [ctrl_in, data_in, probe, cprobe, counts, capture, stats,
-           take_stats] = handles;
 
-    typename MigrationController<T>::Options mopts;
-    mopts.strategy = cfg.strategy;
-    mopts.batch_size = cfg.batch_size;
-    mopts.gap = 0;
-    MigrationController<T> controller(ctrl_in, probe, w.index(), mopts);
+    MigrationController<T> controller(ctrl_in, probe, w.index(),
+                                      {cfg.strategy, cfg.batch_size, 0});
 
     // The effective migration schedule: either the explicit one or the
     // classic single initial->imbalanced step. Adaptive runs schedule
     // nothing up front — worker 0's policy decides as the run unfolds.
-    std::vector<std::pair<uint64_t, Assignment>> schedule = cfg.schedule;
-    if (!cfg.adaptive && schedule.empty() &&
-        cfg.migrate_at_epoch < cfg.epochs) {
-      schedule.emplace_back(cfg.migrate_at_epoch,
-                            MakeImbalancedAssignment(cfg.num_bins, W));
+    MigrationPlan plan = cfg.schedule;
+    if (!cfg.adaptive && plan.empty() && cfg.migrate_at_epoch < cfg.epochs) {
+      plan.emplace_back(cfg.migrate_at_epoch,
+                        MakeImbalancedAssignment(cfg.num_bins, W));
     }
-    Assignment current = MakeInitialAssignment(cfg.num_bins, W);
-    size_t next_mig = 0;
+    MigrationSchedule schedule(plan, MakeInitialAssignment(cfg.num_bins, W));
     std::optional<AdaptiveController<T>> actrl;
     if (cfg.adaptive && w.index() == 0) {
-      actrl.emplace(&controller, W, current, cfg.adaptive_opts);
+      actrl.emplace(&controller, W, schedule.current(), stats.inbox,
+                    cfg.adaptive_opts);
     }
-    size_t ingested = 0;  // reports folded into the policy so far
     // Resuming from a checkpoint: migrations before the checkpoint epoch
     // are already reflected in the restored routing table — skip them,
     // and cross-check the replayed schedule against the checkpointed
     // assignment.
-    while (next_mig < schedule.size() &&
-           schedule[next_mig].first < start_epoch) {
-      current = schedule[next_mig].second;
-      next_mig++;
-    }
+    schedule.SkipBefore(start_epoch);
     if (start_epoch > 0) {
-      MEGA_CHECK(current == seg.assignment)
+      MEGA_CHECK(schedule.current() == seg.assignment)
           << "checkpoint assignment diverges from the replayed schedule";
       data_in->AdvanceTo(start_epoch);
     }
     const uint32_t me = w.index();
+    const detail::KeyGen key{cfg.seed, cfg.domain, cfg.num_bins, W,
+                             cfg.skew_worker, cfg.skew_prob_pct,
+                             /*hash_bins=*/true};
     uint64_t sent = 0;
     std::vector<uint64_t> batch;
 
@@ -807,12 +739,8 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
           tcfg.process_index == cfg.die_process) {
         std::raise(SIGKILL);  // deterministic crash for the fault drills
       }
-      while (next_mig < schedule.size() && schedule[next_mig].first == e) {
-        controller.MigrateTo(current, schedule[next_mig].second);
-        current = schedule[next_mig].second;
-        next_mig++;
-      }
-      // Worker 0 decides on stats through epoch e-1 (all ingested — the
+      schedule.IssueDue(e, controller);
+      // Worker 0 decides on stats through epoch e-1 (all arrived — the
       // stats-probe wait below ran before this epoch). Other workers
       // schedule nothing: the control records they observe all originate
       // from worker 0, which is what makes replaying the emitted plans
@@ -823,12 +751,7 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
       for (uint64_t idx = e * cfg.records_per_epoch;
            idx < (e + 1) * cfg.records_per_epoch; ++idx) {
         if (idx % W == me) {
-          batch.push_back(
-              e >= cfg.skew_from_epoch &&
-                      detail::SkewedRecord(cfg.seed, idx, cfg.skew_prob_pct)
-                  ? detail::HotHashKey(cfg.seed, idx, cfg.domain,
-                                       cfg.num_bins, W, cfg.skew_worker)
-                  : detail::CountKey(cfg.seed, idx, cfg.domain));
+          batch.push_back(key(idx, e >= cfg.skew_from_epoch));
         }
       }
       sent += batch.size();
@@ -852,7 +775,7 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
         if (w.IsLocalRoot()) {
           state::CheckpointSegment out_seg;
           out_seg.epoch = e + 1;
-          out_seg.assignment = current;
+          out_seg.assignment = schedule.current();
           const uint32_t local_begin = tcfg.process_index * tcfg.workers;
           for (uint32_t i = 0; i < tcfg.workers; ++i) {
             out_seg.workers[local_begin + i] = std::move(ck->staging[i]);
@@ -873,32 +796,17 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
         stats.Send(BinStatsReport::From(me, e, std::move(bs)));
         stats.in->AdvanceTo(e + 1);
         w.StepUntil([&] { return !stats.probe.LessThan(e + 1); });
-        if (actrl) {
-          auto& reps = *stats.reports;
-          for (; ingested < reps.size(); ++ingested) {
-            actrl->Ingest(reps[ingested]);
-          }
-        }
       }
     }
 
-    // Drain epochs (no data) until the migration has fully completed, so
-    // completed_batches reflects the whole plan.
-    uint64_t e = cfg.epochs;
-    while (controller.Migrating()) {
-      controller.Advance(e, e + 1);
-      data_in->AdvanceTo(e + 1);
-      w.StepUntil([&] { return !probe.LessThan(e + 1); });
-      ++e;
-    }
-    size_t completed = controller.completed_batches();
-    controller.Close(e + 1);
+    const size_t completed = DrainAndCloseLockstep(
+        w, controller, probe, cfg.epochs,
+        [&](uint64_t t) { data_in->AdvanceTo(t); });
     data_in->Close();
     if (cfg.adaptive) stats.in->Close();
 
     total_sent += sent;
     if (me == 0) {
-      std::lock_guard<std::mutex> lock(result_mu);
       root_counts = counts;  // final after Execute's post-closure drain
       result.completed_batches = completed;
       result.root = true;

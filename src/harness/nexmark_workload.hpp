@@ -18,13 +18,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rate_limiter.hpp"
 #include "common/time_util.hpp"
 #include "harness/bench_shard.hpp"
+#include "harness/migration_schedule.hpp"
 #include "harness/open_loop.hpp"
 #include "megaphone/megaphone.hpp"
 #include "nexmark/nexmark.hpp"
@@ -42,11 +43,8 @@ struct NexmarkBenchConfig {
   nexmark::QueryConfig qcfg;
   nexmark::GeneratorConfig gcfg;
 
-  struct Migration {
-    uint64_t at_ms;
-    Assignment to;
-  };
-  std::vector<Migration> migrations;
+  /// Migrations, at ms since the measurement start.
+  MigrationPlan schedule;
   MigrationStrategy strategy = MigrationStrategy::kBatched;
   size_t batch_size = 64;
 };
@@ -63,16 +61,10 @@ namespace detail {
 template <typename D, typename T>
 timely::ProbeHandle<T> CountingProbe(timely::Stream<D, T> stream,
                                      std::atomic<uint64_t>* counter) {
-  timely::Scope<T>& scope = *stream.scope();
-  timely::OperatorBuilder<T> b(scope, "CountProbe");
-  auto* in = b.AddInput(stream, timely::Pact<D>::Pipeline());
-  uint32_t loc = in->loc();
-  b.Build([in, counter](timely::OpCtx<T>&) {
-    in->ForEach([counter](const T&, std::vector<D>& data) {
-      *counter += data.size();
-    });
-  });
-  return timely::ProbeHandle<T>(scope.df()->shared(), loc);
+  return ConsumingProbe(stream, "CountProbe", timely::Pact<D>::Pipeline(),
+                        [counter](const T&, std::vector<D>& data) {
+                          *counter += data.size();
+                        });
 }
 
 /// Builds query `q` (native or Megaphone) and returns a counting probe on
@@ -85,28 +77,23 @@ timely::ProbeHandle<T> BuildNexmarkQuery(
   auto count = [counter](auto stream) {
     return CountingProbe(stream, counter);
   };
-  if (mega) {
-    switch (q) {
-      case 1: return count(nexmark::Q1Mega(ctrl, in, qcfg).stream);
-      case 2: return count(nexmark::Q2Mega(ctrl, in, qcfg).stream);
-      case 3: return count(nexmark::Q3Mega(ctrl, in, qcfg).stream);
-      case 4: return count(nexmark::Q4Mega(ctrl, in, qcfg).stream);
-      case 5: return count(nexmark::Q5Mega(ctrl, in, qcfg).stream);
-      case 6: return count(nexmark::Q6Mega(ctrl, in, qcfg).stream);
-      case 7: return count(nexmark::Q7Mega(ctrl, in, qcfg).stream);
-      case 8: return count(nexmark::Q8Mega(ctrl, in, qcfg).stream);
-    }
-  } else {
-    switch (q) {
-      case 1: return count(nexmark::Q1Native(in, qcfg));
-      case 2: return count(nexmark::Q2Native(in, qcfg));
-      case 3: return count(nexmark::Q3Native(in, qcfg));
-      case 4: return count(nexmark::Q4Native(in, qcfg));
-      case 5: return count(nexmark::Q5Native(in, qcfg));
-      case 6: return count(nexmark::Q6Native(in, qcfg));
-      case 7: return count(nexmark::Q7Native(in, qcfg));
-      case 8: return count(nexmark::Q8Native(in, qcfg));
-    }
+  switch (q) {
+    case 1: return mega ? count(nexmark::Q1Mega(ctrl, in, qcfg).stream)
+                        : count(nexmark::Q1Native(in, qcfg));
+    case 2: return mega ? count(nexmark::Q2Mega(ctrl, in, qcfg).stream)
+                        : count(nexmark::Q2Native(in, qcfg));
+    case 3: return mega ? count(nexmark::Q3Mega(ctrl, in, qcfg).stream)
+                        : count(nexmark::Q3Native(in, qcfg));
+    case 4: return mega ? count(nexmark::Q4Mega(ctrl, in, qcfg).stream)
+                        : count(nexmark::Q4Native(in, qcfg));
+    case 5: return mega ? count(nexmark::Q5Mega(ctrl, in, qcfg).stream)
+                        : count(nexmark::Q5Native(in, qcfg));
+    case 6: return mega ? count(nexmark::Q6Mega(ctrl, in, qcfg).stream)
+                        : count(nexmark::Q6Native(in, qcfg));
+    case 7: return mega ? count(nexmark::Q7Mega(ctrl, in, qcfg).stream)
+                        : count(nexmark::Q7Native(in, qcfg));
+    case 8: return mega ? count(nexmark::Q8Mega(ctrl, in, qcfg).stream)
+                        : count(nexmark::Q8Native(in, qcfg));
   }
   MEGA_CHECK(false) << "unknown query " << q;
   return {};
@@ -122,11 +109,7 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
   MEGA_CHECK_EQ(tcfg.workers * std::max(1u, tcfg.processes), cfg.workers);
 
   NexmarkBenchResult result;
-  std::mutex result_mu;
-  std::shared_ptr<std::vector<BenchShard>> root_shards;
-  std::atomic<uint64_t> outputs{0};
-  std::atomic<uint64_t> total_sent{0};
-  std::atomic<uint64_t> t0{0};
+  OpenLoopRun run;
 
   // Event time tracks injection deadlines: one generated event stream at
   // `rate` events/second.
@@ -134,42 +117,29 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
   nexmark::Generator gen(cfg.gcfg);
 
   timely::Execute(tcfg, [&](timely::Worker& w) {
-    struct Handles {
-      timely::Input<ControlInst, T> ctrl;
-      timely::Input<nexmark::Person, T> persons;
-      timely::Input<nexmark::Auction, T> auctions;
-      timely::Input<nexmark::Bid, T> bids;
-      timely::ProbeHandle<T> probe;
-      ShardChannel<T> rep;
-    };
-    auto handles = w.Dataflow<T>([&](timely::Scope<T>& s) -> Handles {
-      auto [ctrl_in, ctrl_stream] = timely::NewInput<ControlInst>(s);
-      auto [p_in, p_stream] = timely::NewInput<nexmark::Person>(s);
-      auto [a_in, a_stream] = timely::NewInput<nexmark::Auction>(s);
-      auto [b_in, b_stream] = timely::NewInput<nexmark::Bid>(s);
-      ShardChannel<T> rep = AddShardChannel(s);
+    auto [ctrl_in, p_in, a_in, b_in, probe, rep] =
+        w.Dataflow<T>([&](timely::Scope<T>& s) {
+      auto [ctrl, ctrl_stream] = timely::NewInput<ControlInst>(s);
+      auto [persons, p_stream] = timely::NewInput<nexmark::Person>(s);
+      auto [auctions, a_stream] = timely::NewInput<nexmark::Auction>(s);
+      auto [bids, b_stream] = timely::NewInput<nexmark::Bid>(s);
+      auto shards = AddSideChannel<BenchShard>(s, "BenchShards");
       nexmark::NexmarkStreams<T> streams{p_stream, a_stream, b_stream};
-      auto probe = detail::BuildNexmarkQuery(
-          cfg.query, cfg.use_megaphone, ctrl_stream, streams, cfg.qcfg,
-          &outputs);
-      return Handles{ctrl_in, p_in, a_in, b_in, probe, std::move(rep)};
+      return std::tuple{
+          ctrl, persons, auctions, bids,
+          detail::BuildNexmarkQuery(cfg.query, cfg.use_megaphone,
+                                    ctrl_stream, streams, cfg.qcfg,
+                                    &run.outputs),
+          std::move(shards)};
     });
-    auto& [ctrl_in, p_in, a_in, b_in, probe, rep] = handles;
+    MigrationController<T> controller(ctrl_in, probe, w.index(),
+                                      {cfg.strategy, cfg.batch_size});
 
-    typename MigrationController<T>::Options mopts;
-    mopts.strategy = cfg.strategy;
-    mopts.batch_size = cfg.batch_size;
-    MigrationController<T> controller(ctrl_in, probe, w.index(), mopts);
-
-    uint64_t expected = 0;
-    t0.compare_exchange_strong(expected, NowNanos());
-    const uint64_t start = t0.load();
+    const uint64_t start = run.Start();
     const uint64_t end = start + cfg.duration_ms * 1'000'000;
     OpenLoopPacer pacer(cfg.rate, start);
-
-    Assignment current =
-        MakeInitialAssignment(cfg.qcfg.num_bins, cfg.workers);
-    size_t next_mig = 0;
+    MigrationSchedule schedule(
+        cfg.schedule, MakeInitialAssignment(cfg.qcfg.num_bins, cfg.workers));
 
     OpenLoopRecorder rec(start, 1'000'000, 1);  // 1 ms epochs
 
@@ -183,12 +153,7 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
     // Window markers post-dated off event times therefore always land
     // strictly in the future.
     auto advance_all = [&](uint64_t e) {
-      while (next_mig < cfg.migrations.size() &&
-             cfg.migrations[next_mig].at_ms < e) {
-        controller.MigrateTo(current, cfg.migrations[next_mig].to);
-        current = cfg.migrations[next_mig].to;
-        next_mig++;
-      }
+      schedule.IssueDue(e - 1, controller);  // entries at ms < e
       controller.Advance(e, e + 1);
       p_in->AdvanceTo(e);
       a_in->AdvanceTo(e);
@@ -244,37 +209,18 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
       }
     }
 
-    total_sent += (idx - w.index()) / cfg.workers;
-    controller.Close(cur_epoch + 1);
-    p_in->Close();
-    a_in->Close();
-    b_in->Close();
-
-    if (w.IsLocalRoot()) {
-      // probe.Done() requires every process's inputs closed and the query
-      // fully drained through the counting probe, so outputs/total_sent
-      // are final when it holds.
-      w.StepUntil([&] { return probe.Done(); });
-      BenchShard shard = rec.Finish(NowNanos(), cur_epoch,
-                                    controller.completed_batches());
-      shard.process_index = tcfg.process_index;
-      shard.outputs = outputs.load();
-      shard.records_sent = total_sent.load();
-      rep.Finish(shard);
-      if (w.index() == 0) {
-        std::lock_guard<std::mutex> lock(result_mu);
-        root_shards = rep.shards;
-      }
-    } else {
-      rep.in->Close();
-    }
+    run.Finish(
+        w, tcfg.process_index, (idx - w.index()) / cfg.workers, cur_epoch,
+        controller,
+        [&] {
+          p_in->Close();
+          a_in->Close();
+          b_in->Close();
+        },
+        probe, rec, rep);
   });
 
-  if (root_shards == nullptr) {
-    result.root = false;
-    return result;
-  }
-  detail::MergeShardsInto(std::move(*root_shards), &result);
+  run.Merge(&result);
   return result;
 }
 
@@ -330,24 +276,16 @@ inline DetNexmarkResult RunDeterministicNexmarkQ3(const DetNexmarkConfig& cfg,
   MEGA_CHECK_EQ(tcfg.workers * std::max(1u, tcfg.processes), W);
 
   DetNexmarkResult result;
-  std::mutex result_mu;
   std::shared_ptr<std::vector<Q3Out>> root_outputs;
   nexmark::Generator gen(cfg.gcfg);
 
   timely::Execute(tcfg, [&](timely::Worker& w) {
-    struct Handles {
-      timely::Input<ControlInst, T> ctrl;
-      timely::Input<nexmark::Person, T> persons;
-      timely::Input<nexmark::Auction, T> auctions;
-      timely::Input<nexmark::Bid, T> bids;
-      timely::ProbeHandle<T> probe;
-      std::shared_ptr<std::vector<Q3Out>> collected;
-    };
-    auto handles = w.Dataflow<T>([&](timely::Scope<T>& s) -> Handles {
-      auto [ctrl_in, ctrl_stream] = timely::NewInput<ControlInst>(s);
-      auto [p_in, p_stream] = timely::NewInput<nexmark::Person>(s);
-      auto [a_in, a_stream] = timely::NewInput<nexmark::Auction>(s);
-      auto [b_in, b_stream] = timely::NewInput<nexmark::Bid>(s);
+    auto [ctrl_in, p_in, a_in, b_in, probe, collected] =
+        w.Dataflow<T>([&](timely::Scope<T>& s) {
+      auto [ctrl, ctrl_stream] = timely::NewInput<ControlInst>(s);
+      auto [persons, p_stream] = timely::NewInput<nexmark::Person>(s);
+      auto [auctions, a_stream] = timely::NewInput<nexmark::Auction>(s);
+      auto [bids, b_stream] = timely::NewInput<nexmark::Bid>(s);
       nexmark::NexmarkStreams<T> streams{p_stream, a_stream, b_stream};
       nexmark::QueryConfig qcfg;
       qcfg.num_bins = cfg.num_bins;
@@ -357,50 +295,38 @@ inline DetNexmarkResult RunDeterministicNexmarkQ3(const DetNexmarkConfig& cfg,
 
       // Collector on global worker 0: the single point of truth any
       // process split must agree with.
-      auto collected = std::make_shared<std::vector<Q3Out>>();
-      timely::OperatorBuilder<T> cb(s, "CollectQ3");
-      auto* cin = cb.AddInput(
-          out.stream,
-          timely::Pact<Q3Out>::Exchange([](const Q3Out&) { return uint64_t{0}; }));
-      cb.Build([cin, collected](timely::OpCtx<T>&) {
-        cin->ForEach([&](const T&, std::vector<Q3Out>& recs) {
-          for (auto& r : recs) collected->push_back(std::move(r));
-        });
-      });
-      return Handles{ctrl_in, p_in, a_in, b_in, out.probe,
-                     std::move(collected)};
+      auto outs = std::make_shared<std::vector<Q3Out>>();
+      ConsumingProbe(
+          out.stream, "CollectQ3",
+          timely::Pact<Q3Out>::Exchange(
+              [](const Q3Out&) { return uint64_t{0}; }),
+          [outs](const T&, std::vector<Q3Out>& recs) {
+            for (auto& r : recs) outs->push_back(std::move(r));
+          });
+      return std::tuple{ctrl, persons, auctions, bids, out.probe, outs};
     });
-    auto& [ctrl_in, p_in, a_in, b_in, probe, collected] = handles;
+    MigrationController<T> controller(ctrl_in, probe, w.index(),
+                                      {cfg.strategy, cfg.batch_size, 0});
 
-    typename MigrationController<T>::Options mopts;
-    mopts.strategy = cfg.strategy;
-    mopts.batch_size = cfg.batch_size;
-    mopts.gap = 0;
-    MigrationController<T> controller(ctrl_in, probe, w.index(), mopts);
-
-    const Assignment initial = MakeInitialAssignment(cfg.num_bins, W);
-    const Assignment target = MakeImbalancedAssignment(cfg.num_bins, W);
+    const MigrationPlan plan = {
+        {cfg.migrate_at_epoch, MakeImbalancedAssignment(cfg.num_bins, W)}};
+    MigrationSchedule schedule(plan, MakeInitialAssignment(cfg.num_bins, W));
     const uint32_t me = w.index();
 
     // Lockstep epochs: inject this worker's stride of the generated event
     // prefix, advance, and wait for global completion of the epoch.
     for (uint64_t e = 0; e < cfg.epochs; ++e) {
-      if (e == cfg.migrate_at_epoch) controller.MigrateTo(initial, target);
+      schedule.IssueDue(e, controller);
       controller.Advance(e, e + 1);
       for (uint64_t idx = e * cfg.events_per_epoch;
            idx < (e + 1) * cfg.events_per_epoch; ++idx) {
         if (idx % W != me) continue;
+        // Q3 ignores bids; skipping them keeps the lockstep run lean.
         nexmark::Event ev = gen.At(idx);
-        switch (ev.kind) {
-          case nexmark::Event::Kind::kPerson:
-            p_in->Send(std::move(ev.person));
-            break;
-          case nexmark::Event::Kind::kAuction:
-            a_in->Send(std::move(ev.auction));
-            break;
-          case nexmark::Event::Kind::kBid:
-            // Q3 ignores bids; skipping them keeps the lockstep run lean.
-            break;
+        if (ev.kind == nexmark::Event::Kind::kPerson) {
+          p_in->Send(std::move(ev.person));
+        } else if (ev.kind == nexmark::Event::Kind::kAuction) {
+          a_in->Send(std::move(ev.auction));
         }
       }
       p_in->AdvanceTo(e + 1);
@@ -409,25 +335,17 @@ inline DetNexmarkResult RunDeterministicNexmarkQ3(const DetNexmarkConfig& cfg,
       w.StepUntil([&] { return !probe.LessThan(e + 1); });
     }
 
-    // Drain epochs (no data) until the migration has fully completed, so
-    // completed_batches reflects the whole plan.
-    uint64_t e = cfg.epochs;
-    while (controller.Migrating()) {
-      controller.Advance(e, e + 1);
-      p_in->AdvanceTo(e + 1);
-      a_in->AdvanceTo(e + 1);
-      b_in->AdvanceTo(e + 1);
-      w.StepUntil([&] { return !probe.LessThan(e + 1); });
-      ++e;
-    }
-    size_t completed = controller.completed_batches();
-    controller.Close(e + 1);
+    const size_t completed = DrainAndCloseLockstep(
+        w, controller, probe, cfg.epochs, [&](uint64_t t) {
+          p_in->AdvanceTo(t);
+          a_in->AdvanceTo(t);
+          b_in->AdvanceTo(t);
+        });
     p_in->Close();
     a_in->Close();
     b_in->Close();
 
     if (me == 0) {
-      std::lock_guard<std::mutex> lock(result_mu);
       root_outputs = collected;  // final after Execute's post-closure drain
       result.completed_batches = completed;
       result.root = true;

@@ -3,7 +3,8 @@
 // and closes, which samples count as steady state, and how every
 // process's observations merge into one result. The count and NEXMark
 // harnesses differ only in their dataflow and injection loop; both feed
-// an OpenLoopRecorder and both return an OpenLoopResult.
+// an OpenLoopRecorder, end with OpenLoopRun::Finish and return an
+// OpenLoopResult.
 //
 //   * A latency sample is one epoch's completion: epoch e's deadline is
 //     start + e * epoch_ns, and its latency is how long after the
@@ -17,13 +18,18 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "common/time_util.hpp"
 #include "harness/bench_shard.hpp"
 #include "harness/histogram.hpp"
 #include "harness/rss.hpp"
+#include "megaphone/controller.hpp"
 #include "megaphone/stateful.hpp"
+#include "timely/timely.hpp"
 
 namespace megaphone {
 
@@ -211,6 +217,62 @@ class OpenLoopRecorder {
   uint64_t bytes_before_ = 0;
   uint64_t next_ack_ = 1;   // next epoch awaiting completion
   uint64_t next_tick_ = 0;  // next 250 ms observation boundary
+};
+
+/// What an open-loop run's worker threads share: the measurement origin,
+/// the records injected and query outputs counted in this process, and
+/// the shards global worker 0 collects.
+struct OpenLoopRun {
+  std::atomic<uint64_t> t0{0};
+  std::atomic<uint64_t> records_sent{0};
+  std::atomic<uint64_t> outputs{0};  // NEXMark: the counting probe's total
+  std::shared_ptr<std::vector<BenchShard>> root_shards;  // worker 0 sets it
+
+  /// The measurement origin: the first calling worker's clock.
+  uint64_t Start() {
+    uint64_t expected = 0;
+    t0.compare_exchange_strong(expected, NowNanos());
+    return t0.load();
+  }
+
+  /// A worker's end of run, after its injection loop: adds its `sent`
+  /// records, closes the controller past `last_epoch` and the inputs
+  /// (`close_inputs()`). Each process's local root then drains to
+  /// probe.Done(), finishes `rec` into the process's shard and ships it to
+  /// global worker 0, which keeps the shards for Merge. probe.Done()
+  /// needs every process's inputs closed, so by then every local worker
+  /// has added its records and every issued batch has completed: the
+  /// shard counts the batch in flight and the queued ones Close flushes.
+  template <typename T, typename CloseInputs>
+  void Finish(timely::Worker& w, uint32_t process_index, uint64_t sent,
+              uint64_t last_epoch, MigrationController<T>& ctrl,
+              CloseInputs&& close_inputs, const timely::ProbeHandle<T>& probe,
+              OpenLoopRecorder& rec, SideChannel<BenchShard, T>& rep) {
+    records_sent += sent;
+    const size_t batches = ctrl.completed_batches() + ctrl.queued_batches() +
+                           (ctrl.in_flight_time() ? 1 : 0);
+    ctrl.Close(last_epoch + 1);
+    close_inputs();
+    if (w.IsLocalRoot()) {
+      w.StepUntil([&] { return probe.Done(); });
+      BenchShard shard = rec.Finish(NowNanos(), last_epoch, batches);
+      shard.process_index = process_index;
+      shard.records_sent = records_sent.load();
+      shard.outputs = outputs.load();
+      rep.Send(shard);
+      if (w.index() == 0) root_shards = rep.inbox;
+    }
+    rep.in->Close();
+  }
+
+  /// After Execute: pools the collected shards into `out` in the process
+  /// hosting global worker 0, and marks `out` non-root elsewhere. Returns
+  /// out->root.
+  bool Merge(OpenLoopResult* out) {
+    out->root = root_shards != nullptr;
+    if (out->root) detail::MergeShardsInto(std::move(*root_shards), out);
+    return out->root;
+  }
 };
 
 }  // namespace megaphone

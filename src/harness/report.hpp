@@ -162,6 +162,19 @@ class JsonWriter {
   bool pending_value_ = false;
 };
 
+/// Writes `j` to `path` with a trailing newline; on failure says so on
+/// stderr and returns false.
+inline bool WriteJsonFile(const std::string& path, const JsonWriter& j) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot open --out=%s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(f, "%s\n", j.Str().c_str());
+  std::fclose(f);
+  return true;
+}
+
 /// Minimal command-line flags: --key=value or --key value. Unknown keys
 /// are ignored so every bench accepts the common set.
 class Flags {

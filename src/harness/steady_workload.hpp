@@ -1,8 +1,10 @@
 // Closed-loop steady-state throughput suite: full multi-worker dataflows,
 // native and Megaphone paths, counting keys into dense per-key state so
-// the runtime hot path dominates. Each worker injects its share of
-// records, advancing epochs as it goes; throughput is records over the
-// wall time from spawn to full drain.
+// the runtime hot path dominates. The operators are the count
+// workload's kNativeKey and kKeyCount (detail::BuildCountOperator in
+// count_workload.hpp) over kSteadyDomain keys. Each worker injects its
+// share of records, advancing epochs as it goes; throughput is records
+// over the wall time from spawn to full drain.
 //
 // This suite produces the machine-readable steady_throughput entries the
 // BENCH_*.json baselines record and the CI regression gate
@@ -18,8 +20,8 @@
 
 #include "common/hash.hpp"
 #include "common/time_util.hpp"
+#include "harness/count_workload.hpp"
 #include "harness/report.hpp"
-#include "megaphone/megaphone.hpp"
 #include "timely/timely.hpp"
 
 namespace megaphone {
@@ -43,70 +45,29 @@ constexpr uint64_t kSteadyDomain = 1 << 16;  // distinct keys, power of two
 
 inline SteadyResult RunSteadyThroughput(const SteadyConfig& cfg) {
   using T = uint64_t;
-  using timely::OpCtx;
-  using timely::Scope;
-  using timely::Worker;
 
-  const int log_domain = 63 - __builtin_clzll(kSteadyDomain);
-  const uint64_t keys_per_bin = kSteadyDomain / cfg.num_bins;
+  CountBenchConfig op_cfg;
+  op_cfg.mode =
+      cfg.use_megaphone ? CountMode::kKeyCount : CountMode::kNativeKey;
+  op_cfg.num_bins = cfg.num_bins;
+  op_cfg.domain = kSteadyDomain;
+  const uint64_t per_epoch =
+      (cfg.records_per_worker + cfg.epochs - 1) / cfg.epochs;
   // Keys are pre-generated per worker and timing starts once every worker
   // is ready to inject, so the measurement covers the dataflow, not the
   // load generator.
   std::atomic<uint32_t> ready{0};
   std::atomic<uint64_t> t_begin{0};
 
-  timely::Execute(timely::Config{cfg.workers}, [&](Worker& w) {
-    struct Handles {
-      timely::Input<ControlInst, T> ctrl;
-      timely::Input<uint64_t, T> data;
-      timely::ProbeHandle<T> probe;
-    };
-    auto handles = w.Dataflow<T>([&](Scope<T>& s) -> Handles {
-      auto [ctrl_in, ctrl_stream] = timely::NewInput<ControlInst>(s);
-      auto [data_in, data_stream] = timely::NewInput<uint64_t>(s);
-      timely::ProbeHandle<T> probe;
-      if (cfg.use_megaphone) {
-        using DenseBin = state::DenseState<uint64_t>;
-        Config mcfg;
-        mcfg.num_bins = cfg.num_bins;
-        mcfg.name = "SteadyCount";
-        const int shift = 64 - log_domain;
-        const uint64_t slot_mask = keys_per_bin - 1;
-        auto out = Unary<DenseBin, uint64_t>(
-            ctrl_stream, data_stream,
-            [shift](const uint64_t& k) { return k << shift; },
-            [keys_per_bin, slot_mask](const T&, DenseBin& state,
-                                      std::vector<uint64_t>& recs, auto,
-                                      auto&) {
-              if (state.empty()) state.resize(keys_per_bin);
-              for (uint64_t k : recs) state[k & slot_mask]++;
-            },
-            mcfg);
-        probe = out.probe;
-      } else {
-        struct State {
-          std::vector<uint64_t> counts;
-        };
-        const uint32_t workers = s.peers();
-        auto out = timely::StatefulUnary<State, uint64_t>(
-            data_stream, "NativeCount",
-            [](const uint64_t& k) { return k; },  // worker = key % W
-            [workers](const T&, std::vector<uint64_t>& recs, State& state,
-                      OpCtx<T>&, timely::OutputHandle<uint64_t, T>&) {
-              if (state.counts.empty()) {
-                state.counts.resize(kSteadyDomain / workers + 1);
-              }
-              for (uint64_t k : recs) state.counts[k / workers]++;
-            });
-        probe = timely::Probe(out);
-      }
-      return Handles{ctrl_in, data_in, probe};
+  timely::Execute(timely::Config{cfg.workers}, [&](timely::Worker& w) {
+    auto [ctrl_in, data_in] = w.Dataflow<T>([&](timely::Scope<T>& s) {
+      auto [ctrl, ctrl_stream] = timely::NewInput<ControlInst>(s);
+      auto [data, data_stream] = timely::NewInput<uint64_t>(s);
+      detail::BuildCountOperator(op_cfg, ctrl_stream, data_stream);
+      return std::pair{ctrl, data};
     });
-    auto& [ctrl_in, data_in, probe] = handles;
 
     const uint64_t chunk = 4096;
-    const uint64_t per_epoch =
-        (cfg.records_per_worker + cfg.epochs - 1) / cfg.epochs;
     std::vector<uint64_t> keys(per_epoch * cfg.epochs);
     uint64_t idx = w.index();
     for (auto& k : keys) {
@@ -141,13 +102,10 @@ inline SteadyResult RunSteadyThroughput(const SteadyConfig& cfg) {
     }
     ctrl_in->Close();
     data_in->Close();
-    (void)probe;
   });
 
   SteadyResult r;
   r.seconds = static_cast<double>(NowNanos() - t_begin.load()) * 1e-9;
-  const uint64_t per_epoch =
-      (cfg.records_per_worker + cfg.epochs - 1) / cfg.epochs;
   r.records = per_epoch * cfg.epochs * cfg.workers;
   r.recs_per_sec = static_cast<double>(r.records) / r.seconds;
   return r;
@@ -166,7 +124,11 @@ inline int RunSteadySuite(const Flags& flags) {
       << "--bins must be in [1, " << kSteadyDomain
       << "] (the key domain) so every bin holds at least one key";
 
-  std::vector<SteadyConfig> configs;
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("bench").Value("steady_throughput");
+  json.Key("suite").Value("steady_throughput");
+  json.Key("steady").BeginArray();
   for (uint32_t workers : {1u, 4u}) {
     for (bool mega : {false, true}) {
       SteadyConfig c;
@@ -177,45 +139,28 @@ inline int RunSteadySuite(const Flags& flags) {
       c.epochs = epochs;
       c.num_bins = bins;
       c.use_megaphone = mega;
-      configs.push_back(c);
+      SteadyResult r = RunSteadyThroughput(c);
+      std::printf("%-24s workers=%u records=%llu seconds=%.3f "
+                  "recs_per_sec=%.0f\n",
+                  c.name.c_str(), c.workers,
+                  static_cast<unsigned long long>(r.records), r.seconds,
+                  r.recs_per_sec);
+      std::fflush(stdout);
+      json.BeginObject();
+      json.Key("name").Value(c.name);
+      json.Key("workers").Value(static_cast<uint64_t>(c.workers));
+      json.Key("records").Value(r.records);
+      json.Key("seconds").Value(r.seconds);
+      json.Key("recs_per_sec").Value(r.recs_per_sec);
+      json.EndObject();
     }
-  }
-
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("bench").Value("steady_throughput");
-  json.Key("suite").Value("steady_throughput");
-  json.Key("steady").BeginArray();
-  for (const auto& c : configs) {
-    SteadyResult r = RunSteadyThroughput(c);
-    std::printf("%-24s workers=%u records=%llu seconds=%.3f recs_per_sec=%.0f\n",
-                c.name.c_str(), c.workers,
-                static_cast<unsigned long long>(r.records), r.seconds,
-                r.recs_per_sec);
-    std::fflush(stdout);
-    json.BeginObject();
-    json.Key("name").Value(c.name);
-    json.Key("workers").Value(static_cast<uint64_t>(c.workers));
-    json.Key("records").Value(r.records);
-    json.Key("seconds").Value(r.seconds);
-    json.Key("recs_per_sec").Value(r.recs_per_sec);
-    json.EndObject();
   }
   json.EndArray();
   json.EndObject();
   std::printf("# json\n%s\n", json.Str().c_str());
 
-  std::string out = flags.GetStr("out", "");
-  if (!out.empty()) {
-    std::FILE* f = std::fopen(out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot open --out=%s\n", out.c_str());
-      return 1;
-    }
-    std::fprintf(f, "%s\n", json.Str().c_str());
-    std::fclose(f);
-  }
-  return 0;
+  const std::string out = flags.GetStr("out", "");
+  return out.empty() || WriteJsonFile(out, json) ? 0 : 1;
 }
 
 }  // namespace megaphone

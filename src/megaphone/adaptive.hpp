@@ -7,9 +7,8 @@
 //   * every worker's S instance counts records applied per bin and knows
 //     which bins it hosts (StatefulOutput::take_bin_stats, stateful.hpp);
 //   * each worker periodically ships those counters to global worker 0 as
-//     a BinStatsReport over a stats side channel (AddStatsChannel — the
-//     same Exchange-to-worker-0 pattern as the bench-shard channel, plus a
-//     dummy probed output so a lockstep driver can await consumption);
+//     a BinStatsReport over a side channel (the harness's SideChannel,
+//     which also carries the bench shards);
 //   * worker 0 runs a DS2/Dhalion-style policy (AdaptivePolicy): per-bin
 //     EWMA load, skew detection against an imbalance threshold, greedy
 //     rebalance to a new bin→worker Assignment, hysteresis and a cooldown
@@ -34,7 +33,6 @@
 #include "megaphone/controller.hpp"
 #include "megaphone/stateful.hpp"
 #include "megaphone/strategies.hpp"
-#include "timely/timely.hpp"
 
 namespace megaphone {
 
@@ -77,43 +75,6 @@ struct BinStatsReport {
     return rep;
   }
 };
-
-/// The stats side channel: every worker holds the input (and must advance
-/// and close it); reports Exchange to global worker 0, where the collector
-/// appends them to `reports`. The dummy probed output exposes the
-/// collector's consumption frontier, so a lockstep driver can guarantee
-/// worker 0 has seen every worker's epoch-e report before deciding at e+1.
-template <typename T>
-struct StatsChannel {
-  timely::Input<std::vector<uint8_t>, T> in;
-  std::shared_ptr<std::vector<BinStatsReport>> reports;  // worker 0 only
-  timely::ProbeHandle<T> probe;
-
-  /// Encodes and ships one report at the input's current epoch.
-  void Send(const BinStatsReport& rep) { in->Send(EncodeToBytes(rep)); }
-};
-
-/// Adds the stats side channel to a dataflow under construction.
-template <typename T>
-StatsChannel<T> AddStatsChannel(timely::Scope<T>& s) {
-  auto [in, stream] = timely::NewInput<std::vector<uint8_t>>(s);
-  auto reports = std::make_shared<std::vector<BinStatsReport>>();
-  timely::OperatorBuilder<T> b(s, "BinStatsCollect");
-  auto* cin = b.AddInput(
-      stream, timely::Pact<std::vector<uint8_t>>::Exchange(
-                  [](const std::vector<uint8_t>&) { return uint64_t{0}; }));
-  auto [out, out_stream] = b.template AddOutput<uint8_t>();
-  (void)out;  // never written: exists only so the probe below is possible
-  b.Build([cin, reports](timely::OpCtx<T>&) {
-    cin->ForEach([&](const T&, std::vector<std::vector<uint8_t>>& recs) {
-      for (auto& bytes : recs) {
-        reports->push_back(DecodeFromBytes<BinStatsReport>(bytes));
-      }
-    });
-  });
-  return StatsChannel<T>{std::move(in), std::move(reports),
-                         timely::Probe(out_stream)};
-}
 
 /// Policy thresholds. Defaults suit epoch-granularity decisions; the
 /// open-loop bench stretches them over its stats cadence.
@@ -246,22 +207,29 @@ class AdaptivePolicy {
 };
 
 /// Worker 0's closed loop: owns the authoritative assignment, runs the
-/// policy over ingested reports, and drives the migration controller with
-/// the plans it accepts. Records every emitted plan so a verification run
-/// can replay them as a fixed schedule.
+/// policy over the reports arriving in `reports` (the stats channel's
+/// inbox), and drives the migration controller with the plans it accepts.
+/// Records every emitted plan so a verification run can replay them as a
+/// fixed schedule.
 template <typename T>
 class AdaptiveController {
  public:
   AdaptiveController(MigrationController<T>* ctrl, uint32_t workers,
-                     Assignment initial, AdaptiveOptions opts = {})
-      : ctrl_(ctrl), current_(std::move(initial)),
+                     Assignment initial,
+                     std::shared_ptr<const std::vector<BinStatsReport>> reports,
+                     AdaptiveOptions opts = {})
+      : ctrl_(ctrl), reports_(std::move(reports)),
+        current_(std::move(initial)),
         policy_(static_cast<uint32_t>(current_.size()), workers, opts) {}
 
-  void Ingest(const BinStatsReport& rep) { policy_.Ingest(rep); }
-
-  /// Decides at `epoch`; on an accepted plan schedules the migration and
-  /// returns true. Call before MigrationController::Advance for the epoch.
+  /// Folds the reports that arrived since the last step into the policy
+  /// and decides at `epoch`; on an accepted plan schedules the migration
+  /// and returns true. Call before MigrationController::Advance for the
+  /// epoch.
   bool Step(uint64_t epoch) {
+    for (; read_ < reports_->size(); ++read_) {
+      policy_.Ingest((*reports_)[read_]);
+    }
     auto plan = policy_.Decide(epoch, current_);
     if (!plan) return false;
     ctrl_->MigrateTo(current_, *plan);
@@ -278,6 +246,8 @@ class AdaptiveController {
 
  private:
   MigrationController<T>* ctrl_;
+  std::shared_ptr<const std::vector<BinStatsReport>> reports_;
+  size_t read_ = 0;  // reports folded into the policy so far
   Assignment current_;
   AdaptivePolicy policy_;
   std::vector<std::pair<uint64_t, Assignment>> plans_;

@@ -80,15 +80,13 @@ inline LogStateOptions& GlobalLogStateOptions() {
 }
 
 /// Publishes a harness's spill knobs into GlobalLogStateOptions(): a
-/// nonempty `dir` and nonzero byte bounds override, the rest keep their
-/// current values.
+/// nonempty `dir` and a nonzero memtable bound override, the rest keep
+/// their current values.
 inline void PublishLogStateOptions(const std::string& dir,
-                                   uint64_t memtable_bytes,
-                                   uint64_t segment_bytes = 0) {
+                                   uint64_t memtable_bytes) {
   LogStateOptions& o = GlobalLogStateOptions();
   if (!dir.empty()) o.dir = dir;
   if (memtable_bytes != 0) o.memtable_bytes = memtable_bytes;
-  if (segment_bytes != 0) o.segment_bytes = segment_bytes;
 }
 
 template <typename K, typename V>

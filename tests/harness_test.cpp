@@ -1,13 +1,18 @@
 // Tests for the benchmark harness: histograms, timelines, RSS, the
-// open-loop measurement recorder, and the open-loop count and NEXMark
-// drivers.
+// open-loop measurement recorder, the migration schedule, the open-loop
+// count and NEXMark drivers, and the steady-throughput suite.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include <utility>
+#include <vector>
+
 #include "harness/harness.hpp"
+#include "harness/migration_schedule.hpp"
 #include "harness/nexmark_workload.hpp"
 #include "harness/open_loop.hpp"
+#include "harness/steady_workload.hpp"
 
 namespace megaphone {
 namespace {
@@ -190,6 +195,53 @@ TEST(OpenLoopRecorder, ScriptedWindowsAndSamples) {
   EXPECT_EQ(chunk_counters().bytes.load() - bytes0, 7300u);
 }
 
+// Records the migrations a MigrationSchedule issues.
+struct FakeController {
+  std::vector<std::pair<Assignment, Assignment>> issued;
+  void MigrateTo(const Assignment& from, const Assignment& to) {
+    issued.emplace_back(from, to);
+  }
+};
+
+TEST(MigrationSchedule, IssuesDueEntriesInOrderInclusive) {
+  const Assignment a0 = {0, 1}, a1 = {1, 1}, a2 = {1, 0}, a3 = {0, 0};
+  const MigrationPlan plan = {{5, a1}, {5, a2}, {9, a3}};
+  MigrationSchedule schedule(plan, a0);
+  FakeController ctrl;
+  schedule.IssueDue(4, ctrl);
+  EXPECT_TRUE(ctrl.issued.empty());
+  EXPECT_EQ(schedule.current(), a0);
+  // Both entries at 5 are due at 5 (inclusive), issued in plan order,
+  // each from the assignment the previous one led to.
+  schedule.IssueDue(5, ctrl);
+  ASSERT_EQ(ctrl.issued.size(), 2u);
+  EXPECT_EQ(ctrl.issued[0], std::make_pair(a0, a1));
+  EXPECT_EQ(ctrl.issued[1], std::make_pair(a1, a2));
+  schedule.IssueDue(8, ctrl);
+  EXPECT_EQ(ctrl.issued.size(), 2u);
+  schedule.IssueDue(100, ctrl);
+  ASSERT_EQ(ctrl.issued.size(), 3u);
+  EXPECT_EQ(ctrl.issued[2], std::make_pair(a2, a3));
+  schedule.IssueDue(200, ctrl);  // exhausted
+  EXPECT_EQ(ctrl.issued.size(), 3u);
+  EXPECT_EQ(schedule.current(), a3);
+}
+
+TEST(MigrationSchedule, RestoreSkipsEarlierEntriesWithoutIssuing) {
+  const Assignment a0 = {0, 1}, a1 = {1, 1}, a2 = {1, 0};
+  const MigrationPlan plan = {{2, a1}, {6, a2}};
+  MigrationSchedule schedule(plan, a0);
+  FakeController ctrl;
+  // A run restored at 6: the entry at 2 is already in its routing table,
+  // the entry at 6 is not (it is due at 6, not before).
+  schedule.SkipBefore(6);
+  EXPECT_TRUE(ctrl.issued.empty());
+  EXPECT_EQ(schedule.current(), a1);
+  schedule.IssueDue(6, ctrl);
+  ASSERT_EQ(ctrl.issued.size(), 1u);
+  EXPECT_EQ(ctrl.issued[0], std::make_pair(a1, a2));
+}
+
 TEST(NexmarkBench, SmokeQ3WithMigration) {
   NexmarkBenchConfig cfg;
   cfg.query = 3;
@@ -198,17 +250,17 @@ TEST(NexmarkBench, SmokeQ3WithMigration) {
   cfg.duration_ms = 600;
   cfg.qcfg.num_bins = 16;
   cfg.strategy = MigrationStrategy::kBatched;
-  // One batch, early: a window the end-of-run drain closes counts only
-  // the batches the controller saw complete, and sanitizer builds run
-  // slowly enough for a later or multi-batch plan to end there.
-  cfg.batch_size = cfg.qcfg.num_bins;
-  cfg.migrations.push_back(
-      {100, MakeImbalancedAssignment(cfg.qcfg.num_bins, cfg.workers)});
+  // Four moving bins, one per batch, late in the run: in slow (sanitizer)
+  // builds the end-of-run drain may close the window, and it must still
+  // count every batch.
+  cfg.batch_size = 1;
+  cfg.schedule.emplace_back(
+      200, MakeImbalancedAssignment(cfg.qcfg.num_bins, cfg.workers));
   auto result = RunNexmarkBench(cfg);
   EXPECT_FALSE(result.timeline.Rows().empty());
   ASSERT_EQ(result.migrations.size(), 1u);
   EXPECT_GT(result.migrations[0].end_sec, result.migrations[0].start_sec);
-  EXPECT_GE(result.migrations[0].batches, 1u);
+  EXPECT_EQ(result.migrations[0].batches, 4u);
   EXPECT_GT(result.records_sent, 0u);  // events injected
   EXPECT_GT(result.outputs, 0u);
 }
@@ -241,8 +293,8 @@ TEST_P(CountBenchModes, SmokeRunWithMigration) {
   const bool is_native = cfg.mode == CountMode::kNativeHash ||
                          cfg.mode == CountMode::kNativeKey;
   if (!is_native) {
-    cfg.migrations.push_back(
-        {200, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)});
+    cfg.schedule.emplace_back(
+        200, MakeImbalancedAssignment(cfg.num_bins, cfg.workers));
     cfg.strategy = MigrationStrategy::kFluid;
   }
   auto result = RunCountBench(cfg);
@@ -251,6 +303,22 @@ TEST_P(CountBenchModes, SmokeRunWithMigration) {
     ASSERT_EQ(result.migrations.size(), 1u);
     EXPECT_GT(result.migrations[0].end_sec, result.migrations[0].start_sec);
     EXPECT_GE(result.migrations[0].batches, 1u);
+  }
+}
+
+TEST(SteadyThroughput, SmokeNativeAndMegaphone) {
+  for (bool mega : {false, true}) {
+    SteadyConfig cfg;
+    cfg.workers = 2;
+    cfg.records_per_worker = 1000;
+    cfg.epochs = 3;
+    cfg.num_bins = 64;
+    cfg.use_megaphone = mega;
+    SteadyResult r = RunSteadyThroughput(cfg);
+    const uint64_t per_epoch = (1000 + 3 - 1) / 3;
+    EXPECT_EQ(r.records, per_epoch * cfg.epochs * cfg.workers) << mega;
+    EXPECT_GT(r.seconds, 0.0);
+    EXPECT_GT(r.recs_per_sec, 0.0);
   }
 }
 

@@ -109,7 +109,7 @@ TEST(MultiProcess, CountBenchMergesShardsFromBothProcesses) {
   cfg.mode = CountMode::kKeyCount;
   cfg.strategy = MigrationStrategy::kBatched;
   cfg.batch_size = 4;
-  cfg.migrations.push_back({200, MakeImbalancedAssignment(32, 4)});
+  cfg.schedule.emplace_back(200, MakeImbalancedAssignment(32, 4));
 
   MultiProcess mp = LaunchLoopbackProcesses(/*processes=*/2,
                                             /*workers_per_process=*/2);
