@@ -58,10 +58,14 @@ class ByteThrottle {
   /// Returns true if `n` bytes may be sent at time `now_nanos`; on success
   /// the tokens are consumed. The bucket holds at most one second of credit
   /// and starts full, so a burst up to `bytes_per_sec` passes immediately.
+  /// A send larger than the bucket passes once the bucket is full and
+  /// leaves it in debt that later sends wait out: the average rate still
+  /// holds, and no send waits forever.
   bool Admit(uint64_t n, uint64_t now_nanos) {
     if (bytes_per_sec_ == 0) return true;
     Refill(now_nanos);
-    if (tokens_ >= static_cast<double>(n)) {
+    if (tokens_ >= static_cast<double>(n) ||
+        tokens_ >= static_cast<double>(bytes_per_sec_)) {
       tokens_ -= static_cast<double>(n);
       return true;
     }

@@ -24,11 +24,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/serde.hpp"
 #include "megaphone/controller.hpp"
 #include "megaphone/stateful.hpp"
@@ -219,17 +221,35 @@ class AdaptiveController {
                      std::shared_ptr<const std::vector<BinStatsReport>> reports,
                      AdaptiveOptions opts = {})
       : ctrl_(ctrl), reports_(std::move(reports)),
+        reports_per_worker_(workers, 0),
         current_(std::move(initial)),
         policy_(static_cast<uint32_t>(current_.size()), workers, opts) {}
 
-  /// Folds the reports that arrived since the last step into the policy
-  /// and decides at `epoch`; on an accepted plan schedules the migration
-  /// and returns true. Call before MigrationController::Advance for the
-  /// epoch.
+  /// Folds every stats round completed since the last step into the
+  /// policy and, if there was one, decides at `epoch`; on an accepted plan
+  /// schedules the migration and returns true. Call before
+  /// MigrationController::Advance for the epoch.
+  ///
+  /// A worker's n-th report belongs to round n, and a round is folded
+  /// only once all W of its reports are in: while other workers' reports
+  /// are still in flight, a partial window would look skewed.
   bool Step(uint64_t epoch) {
+    const size_t workers = reports_per_worker_.size();
     for (; read_ < reports_->size(); ++read_) {
-      policy_.Ingest((*reports_)[read_]);
+      uint32_t w = (*reports_)[read_].worker;
+      MEGA_CHECK_LT(w, workers);
+      size_t round = reports_per_worker_[w]++ - rounds_folded_;
+      if (open_rounds_.size() <= round) open_rounds_.resize(round + 1);
+      open_rounds_[round].push_back(read_);
     }
+    bool folded = false;
+    while (!open_rounds_.empty() && open_rounds_.front().size() == workers) {
+      for (size_t i : open_rounds_.front()) policy_.Ingest((*reports_)[i]);
+      open_rounds_.pop_front();
+      ++rounds_folded_;
+      folded = true;
+    }
+    if (!folded) return false;
     auto plan = policy_.Decide(epoch, current_);
     if (!plan) return false;
     ctrl_->MigrateTo(current_, *plan);
@@ -247,7 +267,11 @@ class AdaptiveController {
  private:
   MigrationController<T>* ctrl_;
   std::shared_ptr<const std::vector<BinStatsReport>> reports_;
-  size_t read_ = 0;  // reports folded into the policy so far
+  size_t read_ = 0;  // reports sorted into rounds so far
+  std::vector<uint64_t> reports_per_worker_;
+  uint64_t rounds_folded_ = 0;
+  // Rounds not yet complete, oldest first: indices into `reports_`.
+  std::deque<std::vector<size_t>> open_rounds_;
   Assignment current_;
   AdaptivePolicy policy_;
   std::vector<std::pair<uint64_t, Assignment>> plans_;

@@ -309,14 +309,6 @@ class NetMesh final : public timely::NetRuntime {
     progress_handlers_[dataflow_id] = std::move(handler);
   }
 
-  /// Bytes currently queued toward `process` (introspection for tests).
-  size_t QueuedBytes(uint32_t process) const {
-    const auto& p = peers_[process];
-    if (!p) return 0;
-    std::lock_guard<std::mutex> lock(p->mu);
-    return p->queued_bytes;
-  }
-
  private:
   /// Cumulative-ack cadence: one explicit ack per this many delivered
   /// frames (heartbeats carry acks on idle links, and the goodbye

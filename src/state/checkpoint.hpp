@@ -11,10 +11,11 @@
 // "checkpoint-based recovery" pattern from the state-management survey:
 // atomically published, all-or-nothing units).
 //
-// The bin payloads are the exact bytes `Bin::Serialize` produces — the
-// same whole-value serde migration uses — so restore is "absorb these
-// bins as if they had just migrated in", and a restored run continues
-// byte-identically (proven by tests/recovery_test.cpp).
+// The bin payloads are the exact bytes `Bin::Serialize` produces. That
+// whole-value serde is the checkpoint's own: migration never uses it, it
+// always moves a bin through its chunk cursor. Restore installs each
+// deserialized bin in S before any data is ingested, and a restored run
+// continues byte-identically (proven by tests/recovery_test.cpp).
 #pragma once
 
 #include <cinttypes>
@@ -147,7 +148,7 @@ inline bool LoadLatestSegment(const std::string& dir, uint32_t processes,
 /// segment files into a subdirectory of `dir` (hard link or copy) and
 /// serialize a manifest + memtable delta instead of materializing every
 /// key — the point of a log-structured checkpoint. Outside any scope they
-/// serialize inline, which is what migration's monolithic path needs.
+/// serialize inline (no migration path serializes a whole bin).
 ///
 /// The scope is process-global (bin backends are default-constructed
 /// inside the dataflow, so there is no per-instance plumbing) and is only

@@ -42,7 +42,7 @@ class DenseState {
     return a.values_ == b.values_;
   }
 
-  // Serde (monolithic path): identical to the wrapped vector's encoding.
+  // Serde (checkpoint path): identical to the wrapped vector's encoding.
   void Serialize(Writer& w) const { Encode(w, values_); }
   static DenseState Deserialize(Reader& r) {
     DenseState s;

@@ -49,7 +49,7 @@ class MapState {
     return a.map_ == b.map_;
   }
 
-  // Serde (monolithic path): identical to the wrapped map's encoding.
+  // Serde (checkpoint path): identical to the wrapped map's encoding.
   void Serialize(Writer& w) const { Encode(w, map_); }
   static MapState Deserialize(Reader& r) {
     MapState s;

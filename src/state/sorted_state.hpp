@@ -53,7 +53,7 @@ class SortedState {
     return a.map_ == b.map_;
   }
 
-  // Serde (monolithic path): identical to the wrapped map's encoding.
+  // Serde (checkpoint path): identical to the wrapped map's encoding.
   void Serialize(Writer& w) const { Encode(w, map_); }
   static SortedState Deserialize(Reader& r) {
     SortedState s;

@@ -90,16 +90,6 @@ class Channel {
     }
   }
 
-  /// Pops the next bundle for `worker`; returns false if none queued.
-  bool Pull(uint32_t worker, Bundle<D, T>& out) {
-    MEGA_DCHECK(worker < queues_.size());
-    std::lock_guard<std::mutex> lock(queues_[worker]->mu);
-    if (queues_[worker]->q.empty()) return false;
-    out = std::move(queues_[worker]->q.front());
-    queues_[worker]->q.pop_front();
-    return true;
-  }
-
   /// Drains every queued bundle for `worker` into `out` (FIFO order) with
   /// a single lock acquisition — `out` is swapped with the live queue when
   /// empty, so the drain itself moves no bundles. Returns the number of

@@ -25,13 +25,4 @@ class NodeBase {
   virtual bool CommitStep() { return false; }
 };
 
-/// Anything with buffered output that must be flushed at step end (output
-/// handles, throttled senders).
-class Flushable {
- public:
-  virtual ~Flushable() = default;
-  /// Flushes buffers; returns true if anything moved.
-  virtual bool Flush() = 0;
-};
-
 }  // namespace timely

@@ -45,22 +45,19 @@ namespace timely {
 /// Parallelization contract: decides the receiving worker for each record
 /// on a channel.
 ///
-/// Exchange and Route are constructed from arbitrary callables; the
-/// concrete functor is captured twice — once per-record (for Send) and
-/// once inside `batch_targets`, which computes the targets of a whole
-/// batch in one type-erased call so the per-record loop is devirtualized.
+/// Exchange and Route capture their callable once, inside `targets`, which
+/// computes the destinations of a whole batch in one type-erased call (the
+/// per-record loop inside is devirtualized); a single record is a batch of
+/// one.
 template <typename D>
 struct Pact {
-  enum class Kind { kPipeline, kExchange, kBroadcast, kRoute };
+  enum class Kind { kPipeline, kBroadcast, kPartition };
 
   Kind kind = Kind::kPipeline;
-  std::function<uint64_t(const D&)> hash;   // kExchange: target = hash % W
-  std::function<uint32_t(const D&)> route;  // kRoute: explicit worker id
-  /// Batch fast path (kExchange/kRoute): fills `targets[0..n)` with the
-  /// destination worker of each record.
-  std::function<void(const D* data, size_t n, uint32_t peers,
-                     uint32_t* targets)>
-      batch_targets;
+  /// kPartition: fills `out[0..n)` with the destination worker of each of
+  /// `data[0..n)`.
+  std::function<void(const D* data, size_t n, uint32_t peers, uint32_t* out)>
+      targets;
 
   /// Records stay on the sending worker.
   static Pact Pipeline() { return Pact{}; }
@@ -68,36 +65,25 @@ struct Pact {
   /// Records are partitioned by a hash of their content.
   template <typename H>
   static Pact Exchange(H h) {
-    Pact p;
-    p.kind = Kind::kExchange;
-    p.hash = h;
-    p.batch_targets = [h](const D* data, size_t n, uint32_t peers,
-                          uint32_t* targets) {
-      for (size_t i = 0; i < n; ++i) {
-        targets[i] = static_cast<uint32_t>(h(data[i]) % peers);
-      }
-    };
-    return p;
+    return Pact{Kind::kPartition, [h](const D* data, size_t n, uint32_t peers,
+                                      uint32_t* out) {
+                  for (size_t i = 0; i < n; ++i) {
+                    out[i] = static_cast<uint32_t>(h(data[i]) % peers);
+                  }
+                }};
   }
 
   /// Every record is delivered to every worker (requires copyable D).
-  static Pact Broadcast() {
-    Pact p;
-    p.kind = Kind::kBroadcast;
-    return p;
-  }
+  static Pact Broadcast() { return Pact{Kind::kBroadcast, {}}; }
 
   /// Records carry their destination worker explicitly.
   template <typename R>
   static Pact Route(R r) {
-    Pact p;
-    p.kind = Kind::kRoute;
-    p.route = r;
-    p.batch_targets = [r](const D* data, size_t n, uint32_t /*peers*/,
-                          uint32_t* targets) {
-      for (size_t i = 0; i < n; ++i) targets[i] = r(data[i]);
-    };
-    return p;
+    return Pact{Kind::kPartition,
+                [r](const D* data, size_t n, uint32_t /*peers*/,
+                    uint32_t* out) {
+                  for (size_t i = 0; i < n; ++i) out[i] = r(data[i]);
+                }};
   }
 };
 
@@ -112,8 +98,9 @@ class OpCtx;
 /// safety order, with one tracker acquisition per step instead of one per
 /// buffer plus one per step.
 template <typename T>
-class StepFlushable : public Flushable {
+class StepFlushable {
  public:
+  virtual ~StepFlushable() = default;
   /// Moves full buffers into the staging area; appends their produced
   /// counts to `changes`. Returns true if anything was staged.
   virtual bool StageFlush(std::vector<Change<T>>& changes) = 0;
@@ -122,14 +109,18 @@ class StepFlushable : public Flushable {
   virtual bool CommitFlush() = 0;
 };
 
-/// Typed output port handle. Owns per-channel, per-target buffers; flushing
-/// a buffer first applies the `produced` count to the progress tracker and
-/// only then makes the bundle visible in the channel (the safety order).
+/// Typed output port handle. Owns per-channel, per-target buffers. Every
+/// bundle leaves through one path: `Stage` appends its produced count to a
+/// change batch and queues it, and `CommitFlush` makes the queue visible
+/// once that batch has been applied (the safety order). An operator output
+/// stages into its step's batch, which the dataflow step applies; an input
+/// handle has no step, so it stages into its own batch and every send call
+/// ends by publishing it.
 ///
-/// An optional byte throttle models network bandwidth: flushed bundles are
-/// counted immediately (they occupy sender memory, as serialized state does
-/// in the paper's Fig. 20) but enter the channel only as the token bucket
-/// admits them.
+/// An optional byte throttle models network bandwidth: staged bundles are
+/// counted like any other (they occupy sender memory, as serialized state
+/// does in the paper's Fig. 20) but enter the channel only as the token
+/// bucket admits them.
 template <typename D, typename T>
 class OutputHandle final : public StepFlushable<T> {
  public:
@@ -160,6 +151,7 @@ class OutputHandle final : public StepFlushable<T> {
       bool last = (a + 1 == attachments_.size());
       RouteIntoBuffers(attachments_[a], time, item, last);
     }
+    PublishIfInput();
   }
 
   /// Sends every element of `items` at `time`. The contract dispatch runs
@@ -173,6 +165,7 @@ class OutputHandle final : public StepFlushable<T> {
       RouteBatchIntoBuffers(attachments_[a], time, items, last);
     }
     items.clear();
+    PublishIfInput();
   }
 
   /// Zero-copy send of a pre-routed batch: `items` is adopted as one
@@ -180,44 +173,20 @@ class OutputHandle final : public StepFlushable<T> {
   /// caller's partitioning buffer cycles through the channel's pool. Only
   /// valid on single-attachment outputs whose contract delivers each of
   /// `items` to `target` (the caller's guarantee — e.g. a Route contract
-  /// reading a target the caller just wrote). Inside an operator step the
-  /// bundle is staged and becomes visible with the step's consolidated
-  /// progress batch; outside one it is published immediately.
+  /// reading a target the caller just wrote).
   void SendBundle(const T& time, uint32_t target, std::vector<D>& items) {
     if (items.empty()) return;
     DebugCheckMaySend(time);
     MEGA_DCHECK(attachments_.size() == 1);
-    Attachment& att = attachments_[0];
-    if (throttle_) {
-      if (!att.buffers[target].data.empty()) FlushBuffer(att, target);
-      tracker_->ApplyOne(att.dst_loc, time,
-                         static_cast<int64_t>(items.size()));
-      Bundle<D, T> bundle;
-      bundle.time = time;
-      bundle.data = std::move(items);
-      items = att.chan->AcquireBuffer(worker_);
-      size_t bytes = 0;
-      for (const auto& d : bundle.data) bytes += size_of_(d);
-      pending_bytes_ += bytes;
-      pending_.push_back(PendingBundle{0, target, bytes, std::move(bundle)});
-      DrainPending();
-    } else {
-      AdoptAsBundle(att, target, time, items);
-    }
+    Adopt(attachments_[0], target, time, items);
+    PublishIfInput();
   }
 
-  /// Immediate flush (input handles, step-external senders): stage, apply
-  /// the consolidated batch, commit.
-  bool Flush() override {
-    flush_scratch_.clear();
-    bool any = StageFlush(flush_scratch_);
-    ConsolidateChanges(flush_scratch_);
-    if (!flush_scratch_.empty()) {
-      tracker_->Apply(std::span<const Change<T>>(flush_scratch_.data(),
-                                                 flush_scratch_.size()));
-    }
-    any |= CommitFlush();
-    return any;
+  /// Stages every buffer and publishes (input handles, which have no
+  /// operator step to do it for them).
+  void Flush() {
+    StageFlush(input_changes_);
+    Publish();
   }
 
   bool StageFlush(std::vector<Change<T>>& changes) override {
@@ -262,9 +231,6 @@ class OutputHandle final : public StepFlushable<T> {
     return any;
   }
 
-  /// Bytes currently held by the throttle queue (sender-side memory).
-  size_t PendingThrottledBytes() const { return pending_bytes_; }
-
  private:
   struct Attachment {
     std::shared_ptr<Channel<D, T>> chan;
@@ -284,23 +250,41 @@ class OutputHandle final : public StepFlushable<T> {
 
   void DebugCheckMaySend(const T& time);
 
+  /// The change batch staged bundles count into: the operator step's, or
+  /// the input handle's own.
+  std::vector<Change<T>>& Changes() {
+    return cap_ctx_ != nullptr ? cap_ctx_->step_changes() : input_changes_;
+  }
+
+  /// An input handle's send calls end here: count what they staged, then
+  /// make it visible.
+  void PublishIfInput() {
+    if (cap_ctx_ == nullptr && !input_changes_.empty()) Publish();
+  }
+
+  void Publish() {
+    ConsolidateChanges(input_changes_);
+    if (!input_changes_.empty()) {
+      tracker_->Apply(std::span<const Change<T>>(input_changes_.data(),
+                                                 input_changes_.size()));
+      input_changes_.clear();
+    }
+    CommitFlush();
+  }
+
   void RouteIntoBuffers(Attachment& att, const T& time, D& item, bool may_move) {
     switch (att.pact.kind) {
       case Pact<D>::Kind::kPipeline:
         Append(att, worker_, time, item, may_move);
         break;
-      case Pact<D>::Kind::kExchange: {
-        uint32_t w = static_cast<uint32_t>(att.pact.hash(item) % peers_);
-        Append(att, w, time, item, may_move);
-        break;
-      }
       case Pact<D>::Kind::kBroadcast:
         for (uint32_t w = 0; w < peers_; ++w) {
           Append(att, w, time, item, may_move && (w + 1 == peers_));
         }
         break;
-      case Pact<D>::Kind::kRoute: {
-        uint32_t w = att.pact.route(item);
+      case Pact<D>::Kind::kPartition: {
+        uint32_t w;
+        att.pact.targets(&item, 1, peers_, &w);
         MEGA_DCHECK(w < peers_);
         Append(att, w, time, item, may_move);
         break;
@@ -309,14 +293,17 @@ class OutputHandle final : public StepFlushable<T> {
   }
 
   /// Batch routing: one contract dispatch per call. Pipeline and
-  /// Broadcast bulk-append; Exchange and Route compute all targets with a
-  /// single type-erased call, then run a dispatch-free per-record loop.
+  /// Broadcast bulk-append; Partition computes all targets with a single
+  /// type-erased call, then runs a dispatch-free per-record loop. Large
+  /// batches are adopted zero-copy: whole (Pipeline) or one partition per
+  /// target.
   void RouteBatchIntoBuffers(Attachment& att, const T& time,
                              std::vector<D>& items, bool may_move) {
+    const bool adopt = may_move && items.size() >= kScatterMin;
     switch (att.pact.kind) {
       case Pact<D>::Kind::kPipeline:
-        if (may_move && !throttle_ && items.size() >= kScatterMin) {
-          AdoptAsBundle(att, worker_, time, items);
+        if (adopt) {
+          Adopt(att, worker_, time, items);
         } else {
           AppendRange(att, worker_, time, items, may_move);
         }
@@ -326,112 +313,53 @@ class OutputHandle final : public StepFlushable<T> {
           AppendRange(att, w, time, items, may_move && (w + 1 == peers_));
         }
         break;
-      case Pact<D>::Kind::kExchange:
-      case Pact<D>::Kind::kRoute: {
+      case Pact<D>::Kind::kPartition: {
         targets_scratch_.resize(items.size());
-        att.pact.batch_targets(items.data(), items.size(), peers_,
-                               targets_scratch_.data());
-        if (may_move && !throttle_ && items.size() >= kScatterMin) {
-          ScatterAdopt(att, time, items);
+        att.pact.targets(items.data(), items.size(), peers_,
+                         targets_scratch_.data());
+        if (!adopt) {
+          for (size_t i = 0; i < items.size(); ++i) {
+            uint32_t w = targets_scratch_[i];
+            MEGA_DCHECK(w < peers_);
+            Append(att, w, time, items[i], may_move);
+          }
           break;
         }
+        // Partition into per-target pooled buffers in one branch-light
+        // pass, then adopt each nonempty partition as a bundle.
+        if (scatter_scratch_.size() < peers_) scatter_scratch_.resize(peers_);
         for (size_t i = 0; i < items.size(); ++i) {
           uint32_t w = targets_scratch_[i];
           MEGA_DCHECK(w < peers_);
-          Append(att, w, time, items[i], may_move);
+          scatter_scratch_[w].push_back(std::move(items[i]));
+        }
+        for (uint32_t w = 0; w < peers_; ++w) {
+          if (!scatter_scratch_[w].empty()) {
+            Adopt(att, w, time, scatter_scratch_[w]);
+          }
         }
         break;
       }
     }
   }
 
-  /// Large-batch pipeline fast path: adopt the whole batch as one bundle
-  /// for `target` — zero copy; `items` is replaced with a pooled buffer.
-  void AdoptAsBundle(Attachment& att, uint32_t target, const T& time,
-                     std::vector<D>& items) {
-    const bool staged = cap_ctx_ != nullptr;
-    if (!att.buffers[target].data.empty()) {
-      // Earlier per-record Sends stay ahead in FIFO order.
-      if (staged) {
-        StageBuffer(att, target, cap_ctx_->step_changes());
-      } else {
-        FlushBuffer(att, target);
-      }
-    }
-    Bundle<D, T> bundle;
-    bundle.time = time;
-    bundle.data = std::move(items);
+  /// Zero-copy: `items` becomes one bundle for `target` and is replaced
+  /// with a pooled buffer. Records buffered earlier for `target` are
+  /// staged first, so they stay ahead in FIFO order.
+  void Adopt(Attachment& att, uint32_t target, const T& time,
+             std::vector<D>& items) {
+    auto& changes = Changes();
+    if (!att.buffers[target].data.empty()) StageBuffer(att, target, changes);
+    Stage(att, target, Bundle<D, T>{time, std::move(items)}, changes);
     items = att.chan->AcquireBuffer(worker_);
-    size_t att_idx = static_cast<size_t>(&att - attachments_.data());
-    if (staged) {
-      cap_ctx_->step_changes().push_back(Change<T>{
-          att.dst_loc, time, static_cast<int64_t>(bundle.data.size())});
-      staged_.push_back(StagedBundle{att_idx, target, std::move(bundle)});
-    } else {
-      tracker_->ApplyOne(att.dst_loc, time,
-                         static_cast<int64_t>(bundle.data.size()));
-      att.chan->Push(target, std::move(bundle));
-    }
-  }
-
-  /// Large-batch shuffle fast path: partition records into per-target
-  /// pooled buffers (one branch-light pass, `targets_scratch_` already
-  /// filled), then adopt each nonempty partition directly as a bundle —
-  /// no per-record buffer bookkeeping and no second copy. Production is
-  /// counted in one tracker batch (or folded into the step's batch inside
-  /// an operator) before any bundle becomes visible.
-  void ScatterAdopt(Attachment& att, const T& time, std::vector<D>& items) {
-    if (scatter_scratch_.size() < peers_) scatter_scratch_.resize(peers_);
-    for (size_t i = 0; i < items.size(); ++i) {
-      uint32_t w = targets_scratch_[i];
-      MEGA_DCHECK(w < peers_);
-      scatter_scratch_[w].push_back(std::move(items[i]));
-    }
-    const bool staged = cap_ctx_ != nullptr;
-    size_t first_staged = staged_.size();
-    flush_scratch_.clear();
-    for (uint32_t w = 0; w < peers_; ++w) {
-      auto& part = scatter_scratch_[w];
-      if (part.empty()) continue;
-      auto& changes = staged ? cap_ctx_->step_changes() : flush_scratch_;
-      // Keep earlier per-record Sends ahead of the adopted bundle: stage
-      // them first (or, on the immediate path, push them right away).
-      if (!att.buffers[w].data.empty()) {
-        if (staged) {
-          StageBuffer(att, w, changes);
-        } else {
-          FlushBuffer(att, w);
-        }
-      }
-      changes.push_back(
-          Change<T>{att.dst_loc, time, static_cast<int64_t>(part.size())});
-      Bundle<D, T> bundle;
-      bundle.time = time;
-      bundle.data = std::move(part);
-      part = att.chan->AcquireBuffer(worker_);
-      size_t att_idx = static_cast<size_t>(&att - attachments_.data());
-      staged_.push_back(StagedBundle{att_idx, w, std::move(bundle)});
-    }
-    if (!staged) {
-      // Immediate context (e.g. a dataflow input): count production now,
-      // then publish the adopted bundles.
-      if (!flush_scratch_.empty()) {
-        tracker_->Apply(std::span<const Change<T>>(flush_scratch_.data(),
-                                                   flush_scratch_.size()));
-        flush_scratch_.clear();
-      }
-      for (size_t i = first_staged; i < staged_.size(); ++i) {
-        attachments_[staged_[i].att_idx].chan->Push(
-            staged_[i].target, std::move(staged_[i].bundle));
-      }
-      staged_.resize(first_staged);
-    }
   }
 
   void Append(Attachment& att, uint32_t target, const T& time, D& item,
               bool may_move) {
     auto& buf = att.buffers[target];
-    if (!buf.data.empty() && !(buf.time == time)) FlushOrStage(att, target);
+    if (!buf.data.empty() && !(buf.time == time)) {
+      StageBuffer(att, target, Changes());
+    }
     if (buf.data.empty()) {
       buf.time = time;
       if (buf.data.capacity() == 0) buf.data = att.chan->AcquireBuffer(worker_);
@@ -441,16 +369,18 @@ class OutputHandle final : public StepFlushable<T> {
     } else {
       buf.data.push_back(item);
     }
-    if (buf.data.size() >= kBatch) FlushOrStage(att, target);
+    if (buf.data.size() >= kBatch) StageBuffer(att, target, Changes());
   }
 
-  /// Bulk append of a whole batch to one target, flushing at bundle
+  /// Bulk append of a whole batch to one target, staging at bundle
   /// boundaries. Insertion is ranged, so trivially copyable records
   /// memcpy instead of pushing one at a time.
   void AppendRange(Attachment& att, uint32_t target, const T& time,
                    std::vector<D>& items, bool may_move) {
     auto& buf = att.buffers[target];
-    if (!buf.data.empty() && !(buf.time == time)) FlushOrStage(att, target);
+    if (!buf.data.empty() && !(buf.time == time)) {
+      StageBuffer(att, target, Changes());
+    }
     size_t i = 0;
     const size_t n = items.size();
     while (i < n) {
@@ -469,70 +399,34 @@ class OutputHandle final : public StepFlushable<T> {
                         items.begin() + i + take);
       }
       i += take;
-      if (buf.data.size() >= kBatch) FlushOrStage(att, target);
+      if (buf.data.size() >= kBatch) StageBuffer(att, target, Changes());
     }
   }
 
-  /// Mid-step bundle boundary. Inside an operator step the full buffer
-  /// must go through the step's staged batch — a direct Push would let it
-  /// overtake earlier staged bundles for the same target; outside one
-  /// (input handles) it publishes immediately.
-  void FlushOrStage(Attachment& att, uint32_t target) {
-    if (cap_ctx_ != nullptr) {
-      StageBuffer(att, target, cap_ctx_->step_changes());
-    } else {
-      FlushBuffer(att, target);
-    }
-  }
-
-  /// Moves a full buffer out as a bundle: the produced count goes into
-  /// `changes` (applied before the bundle becomes visible), the bundle
-  /// into the staging area — or the throttle queue, which counts
-  /// production immediately as well.
   void StageBuffer(Attachment& att, uint32_t target,
                    std::vector<Change<T>>& changes) {
     auto& buf = att.buffers[target];
-    changes.push_back(Change<T>{att.dst_loc, buf.time,
-                                static_cast<int64_t>(buf.data.size())});
-    Bundle<D, T> bundle;
-    bundle.time = buf.time;
-    bundle.data = std::move(buf.data);
+    Stage(att, target, Bundle<D, T>{buf.time, std::move(buf.data)}, changes);
     buf.data.clear();
+  }
+
+  /// The one way a bundle leaves: its produced count goes into `changes`
+  /// (applied before the bundle becomes visible), the bundle into the
+  /// staging area — or the throttle queue, which CommitFlush drains as
+  /// the token bucket admits.
+  void Stage(Attachment& att, uint32_t target, Bundle<D, T>&& bundle,
+             std::vector<Change<T>>& changes) {
+    changes.push_back(Change<T>{att.dst_loc, bundle.time,
+                                static_cast<int64_t>(bundle.data.size())});
     size_t att_idx = static_cast<size_t>(&att - attachments_.data());
     if (!throttle_) {
       staged_.push_back(StagedBundle{att_idx, target, std::move(bundle)});
-    } else {
-      size_t bytes = 0;
-      for (const auto& d : bundle.data) bytes += size_of_(d);
-      pending_bytes_ += bytes;
-      pending_.push_back(PendingBundle{att_idx, target, bytes,
-                                       std::move(bundle)});
+      return;
     }
-  }
-
-  /// Immediate flush of one buffer (mid-step bundle boundary): count
-  /// production, then publish, without waiting for step end.
-  void FlushBuffer(Attachment& att, uint32_t target) {
-    auto& buf = att.buffers[target];
-    if (buf.data.empty()) return;
-    // Count production before the bundle becomes visible anywhere.
-    tracker_->ApplyOne(att.dst_loc, buf.time,
-                       static_cast<int64_t>(buf.data.size()));
-    Bundle<D, T> bundle;
-    bundle.time = buf.time;
-    bundle.data = std::move(buf.data);
-    buf.data.clear();
-    if (!throttle_) {
-      att.chan->Push(target, std::move(bundle));
-    } else {
-      size_t bytes = 0;
-      for (const auto& d : bundle.data) bytes += size_of_(d);
-      pending_bytes_ += bytes;
-      size_t att_idx = static_cast<size_t>(&att - attachments_.data());
-      pending_.push_back(PendingBundle{att_idx, target, bytes,
-                                       std::move(bundle)});
-      DrainPending();
-    }
+    size_t bytes = 0;
+    for (const auto& d : bundle.data) bytes += size_of_(d);
+    pending_.push_back(PendingBundle{att_idx, target, bytes,
+                                     std::move(bundle)});
   }
 
   bool DrainPending() {
@@ -542,7 +436,6 @@ class OutputHandle final : public StepFlushable<T> {
     while (!pending_.empty() &&
            throttle_->Admit(pending_.front().bytes, now)) {
       auto& p = pending_.front();
-      pending_bytes_ -= p.bytes;
       attachments_[p.att_idx].chan->Push(p.target, std::move(p.bundle));
       pending_.pop_front();
       any = true;
@@ -572,11 +465,10 @@ class OutputHandle final : public StepFlushable<T> {
   std::vector<std::vector<D>> scatter_scratch_;  // per target worker
   std::vector<StagedBundle> staged_;
   std::deque<Bundle<D, T>> commit_scratch_;
-  std::vector<Change<T>> flush_scratch_;
+  std::vector<Change<T>> input_changes_;  // an input handle's staged counts
   std::optional<megaphone::ByteThrottle> throttle_;
   std::function<size_t(const D&)> size_of_;
   std::deque<PendingBundle> pending_;
-  size_t pending_bytes_ = 0;
 };
 
 /// Typed input port handle: drains queued bundles and exposes the port's

@@ -24,12 +24,6 @@ class ProbeHandle {
       : state_(std::make_shared<State>()), shared_(std::move(shared)),
         loc_(loc) {}
 
-  /// Current frontier of the probed stream.
-  Antichain<T> Read() const {
-    Refresh();
-    return state_->cached;
-  }
-
   /// True iff a record with time strictly less than `t` may still appear.
   bool LessThan(const T& t) const {
     Refresh();

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -244,6 +245,45 @@ TEST(Adaptive, MoveCostVetoesExpensiveBins) {
   AdaptivePolicy muted(4, 2, priced);
   feed(muted, {kHuge, kHuge, kHuge, kHuge});
   EXPECT_FALSE(muted.Decide(1, cur).has_value());
+}
+
+// The controller decides only on complete stats rounds. In the open loop
+// a window holding worker 0's report but not worker 1's (still in flight)
+// looks skewed; folding it would plan a migration the whole round does
+// not justify.
+TEST(Adaptive, ControllerDecidesOnlyOnCompleteRounds) {
+  // MigrateTo only queues batches; no plan may reach it here anyway.
+  MigrationController<uint64_t> ctrl(nullptr, {}, 0, {});
+  auto inbox = std::make_shared<std::vector<BinStatsReport>>();
+  AdaptiveController<uint64_t> actrl(&ctrl, 2, Assignment{0, 0, 1, 1},
+                                     inbox);
+  auto report = [](uint32_t worker, std::vector<uint64_t> records) {
+    BinStatsReport rep;
+    rep.worker = worker;
+    rep.records = std::move(records);
+    return rep;
+  };
+
+  // W-1 reports of round 0: worker 0's bins look hot, yet nothing is
+  // folded and nothing is planned.
+  inbox->push_back(report(0, {50, 50, 0, 0}));
+  EXPECT_FALSE(actrl.Step(1));
+  EXPECT_EQ(actrl.policy().loads(), (std::vector<double>{0, 0, 0, 0}));
+
+  // The last report completes the round: the decision sees the whole,
+  // balanced window and keeps the assignment.
+  inbox->push_back(report(1, {0, 0, 50, 50}));
+  EXPECT_FALSE(actrl.Step(2));
+  EXPECT_EQ(actrl.policy().loads(), (std::vector<double>{25, 25, 25, 25}));
+  EXPECT_TRUE(actrl.plans().empty());
+  EXPECT_EQ(actrl.current(), (Assignment{0, 0, 1, 1}));
+
+  // A worker running a round ahead does not open a decision either; its
+  // report waits for the rest of its round.
+  inbox->push_back(report(1, {0, 0, 0, 0}));
+  inbox->push_back(report(1, {0, 0, 0, 0}));
+  EXPECT_FALSE(actrl.Step(3));
+  EXPECT_EQ(actrl.policy().loads(), (std::vector<double>{25, 25, 25, 25}));
 }
 
 TEST(Adaptive, BinStatsReportRoundTrips) {

@@ -5,8 +5,10 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -98,6 +100,36 @@ TEST(TimelyExtra, ThrottledOutputDelaysButDeliversAll) {
     w.StepUntil([&] { return probe.Done(); });
   });
   EXPECT_EQ(received.load(), 64u);
+}
+
+TEST(TimelyExtra, ThrottledRecordLargerThanOneSecondStillDelivers) {
+  // A single record that outweighs a full second of bandwidth can never
+  // fit the token bucket; the throttle must still let it through once
+  // the bucket is full instead of spinning forever.
+  std::atomic<uint64_t> received{0};
+  Execute(Config{1}, [&](Worker& w) {
+    auto input = w.Dataflow<uint64_t>([&](Scope<uint64_t>& s) {
+      auto [in, stream] = NewInput<uint64_t>(s);
+      OperatorBuilder<uint64_t> b(s, "Oversized");
+      auto* h = b.AddInput(stream, Pact<uint64_t>::Pipeline());
+      auto [out, out_stream] = b.AddOutput<uint64_t>();
+      out->SetThrottle(1024,  // 1 KiB/s, one record is 4 KiB
+                       [](const uint64_t&) { return size_t{4096}; });
+      b.Build([h, out](OpCtx<uint64_t>&) {
+        h->ForEach([&](const uint64_t& t, std::vector<uint64_t>& d) {
+          out->SendBatch(t, std::move(d));
+        });
+      });
+      // The only consumer, so the one record is one throttled bundle.
+      Sink(out_stream, [&](const uint64_t&, std::vector<uint64_t>& d) {
+        received += d.size();
+      });
+      return in;
+    });
+    input->Send(7);
+    input->Close();
+  });
+  EXPECT_EQ(received.load(), 1u);
 }
 
 TEST(TimelyExtra, FrontiersAreMonotone) {
@@ -300,6 +332,145 @@ TEST(TimelyExtra, NotificationOrderAcrossManyEpochsUnderLoad) {
       EXPECT_LT(times[i - 1], times[i]) << "worker " << worker;
     }
   }
+}
+
+// Per-target FIFO across every send path (DESIGN.md, hot-path invariant
+// 4): per-record Send, small (buffered) and large (adopted or scattered)
+// SendBatch, and pre-routed SendBundle, interleaved at one time over
+// several epochs, from an input (published by each send call) and from an
+// operator output (staged until the step commits), under Pipeline and
+// Exchange contracts. Every receiver must see each sender's records in
+// send order.
+using FifoRec = std::pair<uint64_t, uint64_t>;  // (sender, seq)
+
+struct FifoLog {
+  std::mutex mu;
+  // (sender, receiver) -> seqs, in send order and in arrival order.
+  std::map<std::pair<uint64_t, uint32_t>, std::vector<uint64_t>> sent;
+  std::map<std::pair<uint64_t, uint32_t>, std::vector<uint64_t>> received;
+};
+
+uint32_t FifoExchangeTarget(const FifoRec& r) {
+  return static_cast<uint32_t>(HashMix64(r.second) % 2);
+}
+
+// One epoch's interleaving of every send path on `out` at `time`.
+void EmitMixed(OutputHandle<FifoRec, uint64_t>* out, uint64_t time,
+               uint32_t sender, bool exchange, uint64_t& seq, FifoLog& log) {
+  auto dest = [&](const FifoRec& r) {
+    return exchange ? FifoExchangeTarget(r) : sender;
+  };
+  std::vector<FifoRec> sent;  // this epoch's records, in send order
+  auto next = [&] {
+    sent.push_back(FifoRec{sender, seq++});
+    return sent.back();
+  };
+  auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) out->Send(time, next());
+  };
+  auto batch = [&](size_t n) {
+    std::vector<FifoRec> v;
+    for (size_t i = 0; i < n; ++i) v.push_back(next());
+    out->SendBatch(time, std::move(v));
+  };
+  auto bundle = [&](size_t n) {
+    for (uint32_t target = 0; target < 2; ++target) {
+      if (!exchange && target != sender) continue;
+      std::vector<FifoRec> v;
+      while (v.size() < n) {
+        FifoRec r{sender, seq++};
+        if (dest(r) != target) continue;  // this seq is never sent
+        sent.push_back(r);
+        v.push_back(r);
+      }
+      out->SendBundle(time, target, v);
+    }
+  };
+  send(3);
+  batch(100);   // buffered
+  send(2);
+  bundle(50);
+  batch(600);   // adopted (Pipeline) or scattered (Exchange)
+  send(1);
+  batch(5000);  // crosses a buffer boundary when buffered
+  batch(300);
+  bundle(700);
+  send(1);
+  std::lock_guard<std::mutex> lock(log.mu);
+  for (const auto& r : sent) log.sent[{sender, dest(r)}].push_back(r.second);
+}
+
+void RunMixedSendFifo(bool from_operator, bool exchange) {
+  constexpr uint64_t kEpochs = 3;
+  FifoLog log;
+  Execute(Config{2}, [&](Worker& w) {
+    auto [input, emitter] = w.Dataflow<uint64_t>([&](Scope<uint64_t>& s) {
+      auto [in, stream] = NewInput<FifoRec>(s);
+      OutputHandle<FifoRec, uint64_t>* emitter = stream.output();
+      Stream<FifoRec, uint64_t> mixed = stream;
+      if (from_operator) {
+        // The input only triggers the operator, which emits one epoch's
+        // interleaving per trigger.
+        OperatorBuilder<uint64_t> b(s, "MixedEmitter");
+        auto* h = b.AddInput(stream, Pact<FifoRec>::Pipeline());
+        auto [out, out_stream] = b.AddOutput<FifoRec>();
+        auto seq = std::make_shared<uint64_t>(0);
+        uint32_t me = s.worker();
+        b.Build([h, out, seq, me, exchange, &log](OpCtx<uint64_t>&) {
+          h->ForEach([&](const uint64_t& t, std::vector<FifoRec>&) {
+            EmitMixed(out, t, me, exchange, *seq, log);
+          });
+        });
+        mixed = out_stream;
+        emitter = nullptr;
+      }
+      auto pact = exchange ? Pact<FifoRec>::Exchange([](const FifoRec& r) {
+        return HashMix64(r.second);
+      })
+                           : Pact<FifoRec>::Pipeline();
+      OperatorBuilder<uint64_t> b(s, "FifoCollector");
+      auto* h = b.AddInput(mixed, pact);
+      uint32_t me = s.worker();
+      b.Build([h, me, &log](OpCtx<uint64_t>&) {
+        h->ForEach([&](const uint64_t&, std::vector<FifoRec>& d) {
+          std::lock_guard<std::mutex> lock(log.mu);
+          for (const auto& [sender, seq] : d) {
+            log.received[{sender, me}].push_back(seq);
+          }
+        });
+      });
+      return std::make_pair(in, emitter);
+    });
+    uint64_t seq = 0;
+    for (uint64_t e = 0; e < kEpochs; ++e) {
+      if (emitter != nullptr) {
+        EmitMixed(emitter, e, w.index(), exchange, seq, log);
+      } else {
+        input->Send(FifoRec{w.index(), 0});  // trigger
+      }
+      input->AdvanceTo(e + 1);
+      w.Step();
+    }
+    input->Close();
+  });
+  ASSERT_EQ(log.sent.size(), exchange ? 4u : 2u);
+  for (const auto& [link, seqs] : log.sent) {
+    EXPECT_EQ(log.received[link], seqs)
+        << "sender " << link.first << " -> receiver " << link.second;
+  }
+}
+
+TEST(TimelyExtra, MixedSendPathsKeepFifoFromInputPipeline) {
+  RunMixedSendFifo(/*from_operator=*/false, /*exchange=*/false);
+}
+TEST(TimelyExtra, MixedSendPathsKeepFifoFromInputExchange) {
+  RunMixedSendFifo(/*from_operator=*/false, /*exchange=*/true);
+}
+TEST(TimelyExtra, MixedSendPathsKeepFifoFromOperatorPipeline) {
+  RunMixedSendFifo(/*from_operator=*/true, /*exchange=*/false);
+}
+TEST(TimelyExtra, MixedSendPathsKeepFifoFromOperatorExchange) {
+  RunMixedSendFifo(/*from_operator=*/true, /*exchange=*/true);
 }
 
 }  // namespace
