@@ -56,26 +56,23 @@ class ByteThrottle {
       : bytes_per_sec_(bytes_per_sec) {}
 
   /// Returns true if `n` bytes may be sent at time `now_nanos`; on success
-  /// the tokens are consumed. The bucket holds at most one second of credit
-  /// and starts full, so a burst up to `bytes_per_sec` passes immediately.
-  /// A send larger than the bucket passes once the bucket is full and
-  /// leaves it in debt that later sends wait out: the average rate still
-  /// holds, and no send waits forever.
+  /// the tokens are consumed. The bucket starts full with one second of
+  /// credit, so a burst up to `bytes_per_sec` passes immediately. Credit
+  /// caps at one second, except while a larger send waits: then it builds
+  /// up to `n`, so an oversized send waits `n / bytes_per_sec` seconds
+  /// from an empty bucket, like any other send, and never leaves a debt.
   bool Admit(uint64_t n, uint64_t now_nanos) {
     if (bytes_per_sec_ == 0) return true;
-    Refill(now_nanos);
-    if (tokens_ >= static_cast<double>(n) ||
-        tokens_ >= static_cast<double>(bytes_per_sec_)) {
-      tokens_ -= static_cast<double>(n);
-      return true;
-    }
-    return false;
+    Refill(now_nanos, std::max(bytes_per_sec_, n));
+    if (tokens_ < static_cast<double>(n)) return false;
+    tokens_ -= static_cast<double>(n);
+    return true;
   }
 
   uint64_t bytes_per_sec() const { return bytes_per_sec_; }
 
  private:
-  void Refill(uint64_t now_nanos) {
+  void Refill(uint64_t now_nanos, uint64_t cap) {
     // `primed_` (not a timestamp sentinel) marks the first refill: clocks
     // may legitimately start at 0, so `last_nanos_ == 0` cannot mean
     // "never refilled". The first call fills the bucket.
@@ -87,7 +84,7 @@ class ByteThrottle {
     }
     double credit = static_cast<double>(now_nanos - last_nanos_) * 1e-9 *
                     static_cast<double>(bytes_per_sec_);
-    tokens_ = std::min(tokens_ + credit, static_cast<double>(bytes_per_sec_));
+    tokens_ = std::min(tokens_ + credit, static_cast<double>(cap));
     last_nanos_ = now_nanos;
   }
 

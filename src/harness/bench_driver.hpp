@@ -815,8 +815,8 @@ inline void RunFig24(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   base.adaptive_opts.imbalance_threshold =
       flags.GetDouble("imbalance", 1.25);
   base.adaptive_opts.hysteresis = flags.GetDouble("hysteresis", 0.05);
-  // Cooldown is counted in epochs here (decision_every stays 1 and the
-  // bench passes real epoch numbers): 4 decision intervals.
+  // Cooldown is counted in epochs (the bench passes real epoch numbers):
+  // 4 decision intervals.
   base.adaptive_opts.cooldown_epochs =
       flags.GetInt("cooldown-epochs", 4 * base.stats_every);
   // 0 keeps load-only scoring; >0 makes the policy weigh a bin's

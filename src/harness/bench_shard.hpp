@@ -58,22 +58,6 @@ struct BenchShard {
                     migrations, outputs, records_sent, duration_sec, rss)
 };
 
-/// A terminal operator that hands every batch of `stream` to
-/// `consume(t, recs)` under `pact` and returns a probe on its own input
-/// port: once the probe passes t, every record below t has been consumed.
-template <typename D, typename T, typename P, typename F>
-timely::ProbeHandle<T> ConsumingProbe(timely::Stream<D, T> stream,
-                                      const char* name, P pact, F consume) {
-  timely::Scope<T>& s = *stream.scope();
-  timely::OperatorBuilder<T> b(s, name);
-  auto* in = b.AddInput(stream, std::move(pact));
-  const uint32_t loc = in->loc();
-  b.Build([in, consume = std::move(consume)](timely::OpCtx<T>&) {
-    in->ForEach([&](const T& t, std::vector<D>& recs) { consume(t, recs); });
-  });
-  return timely::ProbeHandle<T>(s.df()->shared(), loc);
-}
-
 /// A side channel to global worker 0: every worker holds `in` (and must
 /// advance and close it); messages Exchange to worker 0, where they decode
 /// into `inbox` in arrival order. `probe` reports the frontier at the
@@ -96,7 +80,7 @@ SideChannel<M, T> AddSideChannel(timely::Scope<T>& s, const char* name) {
   using Bytes = std::vector<uint8_t>;
   auto [in, stream] = timely::NewInput<Bytes>(s);
   auto inbox = std::make_shared<std::vector<M>>();
-  auto probe = ConsumingProbe(
+  auto probe = timely::Probe(
       stream, name,
       timely::Pact<Bytes>::Exchange([](const Bytes&) { return uint64_t{0}; }),
       [inbox](const T&, std::vector<Bytes>& recs) {

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <barrier>
 #include <csignal>
 #include <cstdint>
 #include <functional>
@@ -86,6 +87,9 @@ struct PadCount {
   MEGA_SERDE_FIELDS(PadCount, count, pad)
 };
 
+/// The open-loop count bench's epoch length: 1 ms.
+constexpr uint64_t kCountEpochNs = 1'000'000;
+
 struct CountBenchConfig {
   /// Total workers across all processes of the run.
   uint32_t workers = 4;
@@ -108,7 +112,6 @@ struct CountBenchConfig {
   uint64_t gap_ms = 0;
 
   uint64_t seed = 1;
-  uint64_t epoch_ns = 1'000'000;  // 1 ms epochs
 
   /// Byte payload each key's value carries (kPadCount / kSpillCount).
   uint64_t value_pad_bytes = 0;
@@ -399,16 +402,16 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
 
     // Each sample stands for one epoch's worth of records.
     OpenLoopRecorder rec(
-        start, cfg.epoch_ns,
+        start, kCountEpochNs,
         std::max<uint64_t>(1, static_cast<uint64_t>(cfg.rate * 1e-9 *
-                                                    cfg.epoch_ns)));
+                                                    kCountEpochNs)));
 
     uint64_t cur_epoch = 1;
     uint64_t sent = w.index();  // global record index, strided by worker
     while (true) {
       uint64_t now = NowNanos();
       if (now >= end) break;
-      uint64_t e = 1 + (now - start) / cfg.epoch_ns;
+      uint64_t e = 1 + (now - start) / kCountEpochNs;
       if (e > cur_epoch) {
         schedule.IssueDue((now - start) / 1'000'000, controller);
         if (adaptive && e >= next_stats) {
@@ -622,7 +625,7 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
   // epoch until the file is published (temp + rename).
   struct CkShared {
     explicit CkShared(uint32_t n) : barrier(n), staging(n) {}
-    timely::Barrier barrier;
+    std::barrier<> barrier;
     std::vector<state::BinSnapshot> staging;
   };
   auto ck = ck_enabled ? std::make_shared<CkShared>(tcfg.workers) : nullptr;
@@ -676,7 +679,7 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
         *collected =
             DecodeFromBytes<std::map<uint64_t, uint64_t>>(seg.collector);
       }
-      auto cprobe = ConsumingProbe(
+      auto cprobe = timely::Probe(
           out.stream, "Collect",
           timely::Pact<KV>::Exchange([](const KV&) { return uint64_t{0}; }),
           [collected](const T&, std::vector<KV>& recs) {
@@ -771,7 +774,7 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
         state::BinSnapshot snap;
         capture(snap);
         ck->staging[me % tcfg.workers] = std::move(snap);
-        ck->barrier.Wait();  // all local workers staged
+        ck->barrier.arrive_and_wait();  // all local workers staged
         if (w.IsLocalRoot()) {
           state::CheckpointSegment out_seg;
           out_seg.epoch = e + 1;
@@ -784,7 +787,8 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
           state::WriteSegment(cfg.checkpoint_dir, tcfg.process_index,
                               out_seg);
         }
-        ck->barrier.Wait();  // segment published before the next epoch
+        // The segment is published before anyone enters the next epoch.
+        ck->barrier.arrive_and_wait();
       }
 
       // Stats phase: every worker ships its epoch-e bin stats, then waits

@@ -53,29 +53,21 @@ using NexmarkBenchResult = OpenLoopResult;
 
 namespace detail {
 
-/// A probe whose frontier covers the counting consumer itself: counts
-/// records at its own input port, and reports the frontier at that port.
-/// probe.Done() therefore implies the count is final — which the
-/// shard-shipping epilogue relies on — and epoch acks measure true
-/// end-to-end completion including sink consumption.
-template <typename D, typename T>
-timely::ProbeHandle<T> CountingProbe(timely::Stream<D, T> stream,
-                                     std::atomic<uint64_t>* counter) {
-  return ConsumingProbe(stream, "CountProbe", timely::Pact<D>::Pipeline(),
-                        [counter](const T&, std::vector<D>& data) {
-                          *counter += data.size();
-                        });
-}
-
 /// Builds query `q` (native or Megaphone) and returns a counting probe on
-/// its output; outputs are counted into `*counter`.
+/// its output; outputs are counted into `*counter`. The probe's frontier
+/// covers the counting consumer itself, so probe.Done() implies the count
+/// is final — which the shard-shipping epilogue relies on — and epoch acks
+/// measure true end-to-end completion including sink consumption.
 template <typename T>
 timely::ProbeHandle<T> BuildNexmarkQuery(
     int q, bool mega, timely::Stream<ControlInst, T> ctrl,
     nexmark::NexmarkStreams<T>& in, const nexmark::QueryConfig& qcfg,
     std::atomic<uint64_t>* counter) {
-  auto count = [counter](auto stream) {
-    return CountingProbe(stream, counter);
+  auto count = [counter]<typename D>(timely::Stream<D, T> stream) {
+    return timely::Probe(stream, "CountProbe", timely::Pact<D>::Pipeline(),
+                         [counter](const T&, std::vector<D>& data) {
+                           *counter += data.size();
+                         });
   };
   switch (q) {
     case 1: return mega ? count(nexmark::Q1Mega(ctrl, in, qcfg).stream)
@@ -296,7 +288,7 @@ inline DetNexmarkResult RunDeterministicNexmarkQ3(const DetNexmarkConfig& cfg,
       // Collector on global worker 0: the single point of truth any
       // process split must agree with.
       auto outs = std::make_shared<std::vector<Q3Out>>();
-      ConsumingProbe(
+      timely::Probe(
           out.stream, "CollectQ3",
           timely::Pact<Q3Out>::Exchange(
               [](const Q3Out&) { return uint64_t{0}; }),

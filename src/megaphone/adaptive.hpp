@@ -49,22 +49,8 @@ struct BinStatsReport {
   std::vector<uint64_t> state_bytes;  // approx bytes per resident bin
   std::vector<uint8_t> resident;      // 1 if the bin is hosted there
 
-  void Serialize(Writer& w) const {
-    Encode(w, worker);
-    Encode(w, epoch);
-    Encode(w, records);
-    Encode(w, state_bytes);
-    Encode(w, resident);
-  }
-  static BinStatsReport Deserialize(Reader& r) {
-    BinStatsReport rep;
-    rep.worker = Decode<uint32_t>(r);
-    rep.epoch = Decode<uint64_t>(r);
-    rep.records = Decode<std::vector<uint64_t>>(r);
-    rep.state_bytes = Decode<std::vector<uint64_t>>(r);
-    rep.resident = Decode<std::vector<uint8_t>>(r);
-    return rep;
-  }
+  MEGA_SERDE_FIELDS(BinStatsReport, worker, epoch, records, state_bytes,
+                    resident)
 
   /// Builds a report from a worker's BinStats snapshot.
   static BinStatsReport From(uint32_t worker, uint64_t epoch, BinStats&& s) {
@@ -81,16 +67,12 @@ struct BinStatsReport {
 /// Policy thresholds. Defaults suit epoch-granularity decisions; the
 /// open-loop bench stretches them over its stats cadence.
 struct AdaptiveOptions {
-  /// Decide only at epochs divisible by this (1 = every epoch).
-  uint64_t decision_every = 1;
-  /// EWMA weight of the newest window (1 = no smoothing).
-  double ewma_alpha = 0.5;
   /// A plan is considered once max worker load > threshold * average.
   double imbalance_threshold = 1.25;
   /// A plan is accepted only if it shrinks the max worker load by at
   /// least this fraction — rejecting churn that would barely help.
   double hysteresis = 0.05;
-  /// Decision epochs to wait after an accepted plan before the next one,
+  /// Epochs to wait after an accepted plan before the next one,
   /// letting the migration finish and the EWMA re-converge.
   uint64_t cooldown_epochs = 4;
   /// Cost charged against a bin's load for every reported state byte when
@@ -128,20 +110,15 @@ class AdaptivePolicy {
   /// a rebalanced assignment if the load is skewed enough to justify one.
   std::optional<Assignment> Decide(uint64_t epoch,
                                    const Assignment& current) {
-    if (opts_.decision_every > 1 && epoch % opts_.decision_every != 0) {
-      return std::nullopt;
-    }
     double total = 0;
     for (size_t b = 0; b < load_.size(); ++b) {
-      load_[b] = opts_.ewma_alpha * static_cast<double>(window_[b]) +
-                 (1.0 - opts_.ewma_alpha) * load_[b];
+      load_[b] = kEwmaAlpha * static_cast<double>(window_[b]) +
+                 (1.0 - kEwmaAlpha) * load_[b];
       window_[b] = 0;
       total += load_[b];
     }
     if (total <= 0 || workers_ < 2) return std::nullopt;
-    if (planned_ &&
-        epoch < last_plan_epoch_ +
-                    opts_.cooldown_epochs * opts_.decision_every) {
+    if (planned_ && epoch < last_plan_epoch_ + opts_.cooldown_epochs) {
       return std::nullopt;
     }
 
@@ -199,6 +176,9 @@ class AdaptivePolicy {
   const std::vector<uint64_t>& state_bytes() const { return bytes_; }
 
  private:
+  /// EWMA weight of the newest window.
+  static constexpr double kEwmaAlpha = 0.5;
+
   AdaptiveOptions opts_;
   uint32_t workers_;
   std::vector<double> load_;      // per-bin EWMA

@@ -66,22 +66,7 @@ struct BinChunk {
     return 3 * sizeof(uint32_t) + 1 + sizeof(uint64_t) + bytes.size();
   }
 
-  void Serialize(Writer& w) const {
-    Encode(w, target);
-    Encode(w, bin);
-    Encode(w, seq);
-    Encode(w, last);
-    Encode(w, bytes);
-  }
-  static BinChunk Deserialize(Reader& r) {
-    BinChunk c;
-    c.target = Decode<uint32_t>(r);
-    c.bin = Decode<BinId>(r);
-    c.seq = Decode<uint32_t>(r);
-    c.last = Decode<uint8_t>(r);
-    c.bytes = Decode<std::vector<uint8_t>>(r);
-    return c;
-  }
+  MEGA_SERDE_FIELDS(BinChunk, target, bin, seq, last, bytes)
 };
 
 /// A bin on its way out of this worker: it owns the moved-out bin and
@@ -468,8 +453,6 @@ class ControlState {
   bool idle() const {
     return pending_.empty() && migrations_.empty() && outgoing_.empty();
   }
-  size_t pending_updates() const { return pending_.size(); }
-  size_t pending_migrations() const { return migrations_.size(); }
   /// Bins whose frames are not all sent yet.
   size_t queued_bins() const { return outgoing_.size(); }
 

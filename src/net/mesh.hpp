@@ -57,11 +57,11 @@
 #include <csignal>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -75,6 +75,12 @@
 namespace megaphone {
 namespace net {
 
+/// Deadline for the whole mesh bring-up (connects and handshakes).
+constexpr uint64_t kConnectTimeoutMs = 30'000;
+/// Bound on bytes queued per peer; producers block when exceeded
+/// (backpressure toward the worker that is flooding the link).
+constexpr size_t kMaxQueueBytes = 64u << 20;
+
 struct MeshOptions {
   uint32_t processes = 1;
   uint32_t process_index = 0;
@@ -85,10 +91,6 @@ struct MeshOptions {
   /// port-0 listeners before forking, so ports are race-free); -1 means
   /// the mesh binds addresses[process_index] itself.
   int listen_fd = -1;
-  uint64_t connect_timeout_ms = 30'000;
-  /// Bound on bytes queued per peer; producers block when exceeded
-  /// (backpressure toward the worker that is flooding the link).
-  size_t max_queue_bytes = 64u << 20;
   /// Idle-link keepalive cadence per peer (also carries acks).
   uint64_t heartbeat_ms = 500;
   /// A peer silent for this long is declared down. Must comfortably
@@ -117,8 +119,7 @@ class NetMesh final : public timely::NetRuntime {
 
     peers_.resize(opts_.processes);
     // One deadline bounds the whole bring-up.
-    const uint64_t deadline =
-        NowNanos() + opts_.connect_timeout_ms * 1'000'000;
+    const uint64_t deadline = NowNanos() + kConnectTimeoutMs * 1'000'000;
     auto remaining_ms = [&]() -> uint64_t {
       uint64_t now = NowNanos();
       MEGA_CHECK(now < deadline) << "mesh bring-up timed out";
@@ -282,31 +283,16 @@ class NetMesh final : public timely::NetRuntime {
 
   void RegisterDataHandler(uint64_t dataflow_id, uint64_t channel_id,
                            DataHandler handler) override {
-    std::lock_guard<std::mutex> lock(dispatch_mu_);
-    uint64_t key = DataKey(dataflow_id, channel_id);
-    auto pending = pending_data_.find(key);
-    if (pending != pending_data_.end()) {
-      for (auto& [target, bytes] : pending->second) {
-        megaphone::Reader r(bytes);
-        handler(target, r);
-      }
-      pending_data_.erase(pending);
-    }
-    data_handlers_[key] = std::move(handler);
+    Register(FrameKind::kData, DataKey(dataflow_id, channel_id),
+             std::move(handler));
   }
 
   void RegisterProgressHandler(uint64_t dataflow_id,
                                ProgressHandler handler) override {
-    std::lock_guard<std::mutex> lock(dispatch_mu_);
-    auto pending = pending_progress_.find(dataflow_id);
-    if (pending != pending_progress_.end()) {
-      for (auto& bytes : pending->second) {
-        megaphone::Reader r(bytes);
-        handler(r);
-      }
-      pending_progress_.erase(pending);
-    }
-    progress_handlers_[dataflow_id] = std::move(handler);
+    Register(FrameKind::kProgress, dataflow_id,
+             [h = std::move(handler)](uint32_t, megaphone::Reader& r) {
+               h(r);
+             });
   }
 
  private:
@@ -409,7 +395,7 @@ class NetMesh final : public timely::NetRuntime {
   void Enqueue(Peer& p, OutFrame frame) {
     std::unique_lock<std::mutex> lock(p.mu);
     p.cv_push.wait(lock, [&] {
-      return p.queued_bytes < opts_.max_queue_bytes || p.closing ||
+      return p.queued_bytes < kMaxQueueBytes || p.closing ||
              p.dead.load(std::memory_order_relaxed) ||
              stop_.load(std::memory_order_relaxed);
     });
@@ -719,11 +705,8 @@ class NetMesh final : public timely::NetRuntime {
           if (h.seq == expected) {
             ++expected;
             p.expected_in.store(expected, std::memory_order_release);
-            if (static_cast<FrameKind>(h.kind) == FrameKind::kData) {
-              DispatchData(h.key, h.target, std::move(payload));
-            } else {
-              DispatchProgress(h.key, std::move(payload));
-            }
+            Dispatch(static_cast<FrameKind>(h.kind), h.key, h.target,
+                     std::move(payload));
             if (++delivered_since_ack >= kAckEvery) {
               delivered_since_ack = 0;
               send_ack();
@@ -759,40 +742,48 @@ class NetMesh final : public timely::NetRuntime {
     }
   }
 
+  /// Handlers and early frames are keyed by (frame kind, key): a data
+  /// frame's key is DataKey(dataflow, channel), a progress frame's the
+  /// dataflow id. Progress handlers ignore the target.
+  using RouteKey = std::pair<FrameKind, uint64_t>;
+
+  /// Installs the handler for `(kind, key)`. Frames that arrived earlier
+  /// are replayed through it first, in order, under the lock, so a frame
+  /// arriving meanwhile cannot overtake them.
+  void Register(FrameKind kind, uint64_t key, DataHandler handler) {
+    const RouteKey route{kind, key};
+    std::lock_guard<std::mutex> lock(dispatch_mu_);
+    auto early = early_.find(route);
+    if (early != early_.end()) {
+      for (auto& [target, bytes] : early->second) {
+        megaphone::Reader r(bytes);
+        handler(target, r);
+      }
+      early_.erase(early);
+    }
+    handlers_[route] = std::move(handler);
+  }
+
   // Handlers run *outside* dispatch_mu_ so peers' receive threads decode
   // concurrently: the lock only covers the lookup/buffering decision.
   // Safe because a found handler implies its registration (including the
   // buffered replay) fully completed, handlers are never replaced, and
   // per-peer ordering is carried by each peer's single receive thread.
-  void DispatchData(uint64_t key, uint32_t target,
-                    std::vector<uint8_t> payload) {
+  void Dispatch(FrameKind kind, uint64_t key, uint32_t target,
+                std::vector<uint8_t> payload) {
+    const RouteKey route{kind, key};
     const DataHandler* handler = nullptr;
     {
       std::lock_guard<std::mutex> lock(dispatch_mu_);
-      auto it = data_handlers_.find(key);
-      if (it == data_handlers_.end()) {
-        pending_data_[key].emplace_back(target, std::move(payload));
+      auto it = handlers_.find(route);
+      if (it == handlers_.end()) {
+        early_[route].emplace_back(target, std::move(payload));
         return;
       }
       handler = &it->second;
     }
     megaphone::Reader r(payload);
     (*handler)(target, r);
-  }
-
-  void DispatchProgress(uint64_t key, std::vector<uint8_t> payload) {
-    const ProgressHandler* handler = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(dispatch_mu_);
-      auto it = progress_handlers_.find(key);
-      if (it == progress_handlers_.end()) {
-        pending_progress_[key].push_back(std::move(payload));
-        return;
-      }
-      handler = &it->second;
-    }
-    megaphone::Reader r(payload);
-    (*handler)(r);
   }
 
   MeshOptions opts_;
@@ -805,13 +796,9 @@ class NetMesh final : public timely::NetRuntime {
   std::vector<std::unique_ptr<Peer>> peers_;  // [process]; self is null
 
   std::mutex dispatch_mu_;
-  std::unordered_map<uint64_t, DataHandler> data_handlers_;
-  std::unordered_map<uint64_t, ProgressHandler> progress_handlers_;
-  std::unordered_map<uint64_t,
-                     std::vector<std::pair<uint32_t, std::vector<uint8_t>>>>
-      pending_data_;
-  std::unordered_map<uint64_t, std::vector<std::vector<uint8_t>>>
-      pending_progress_;
+  std::map<RouteKey, DataHandler> handlers_;
+  std::map<RouteKey, std::vector<std::pair<uint32_t, std::vector<uint8_t>>>>
+      early_;  // frames that arrived before their handler, in order
 };
 
 }  // namespace net

@@ -25,7 +25,6 @@ struct NexmarkStreams {
 /// configurable sizes.
 struct QueryConfig {
   uint32_t num_bins = 256;
-  uint64_t state_bytes_per_sec = 0;
   /// State-chunk frame bound and per-step flow-control budget for the
   /// query's stateful operators (0 = monolithic single-frame migration).
   uint64_t chunk_bytes = 0;

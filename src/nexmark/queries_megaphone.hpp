@@ -39,7 +39,6 @@ template <typename T>
 Config MegaConfig(const QueryConfig& cfg, const char* name) {
   Config m;
   m.num_bins = cfg.num_bins;
-  m.state_bytes_per_sec = cfg.state_bytes_per_sec;
   m.chunk_bytes = cfg.chunk_bytes;
   m.chunk_bytes_per_step = cfg.chunk_bytes_per_step;
   m.name = name;

@@ -12,7 +12,7 @@
 //
 // Overwritten and deleted records become garbage accounted per segment;
 // when the garbage share of the on-disk footprint crosses
-// `compact_garbage_ratio` (and the footprint is worth the work),
+// `kCompactGarbageRatio` (and the footprint is worth the work),
 // compaction rewrites the live records into fresh segments — published
 // via tmp+rename — and unlinks the old files. There is no background
 // thread: flush and compaction run at the start of mutating calls, so a
@@ -66,11 +66,14 @@ struct LogStateOptions {
   /// Seal the active segment and start a new one past this size (a soft
   /// cap: one flush batch may overshoot it).
   uint64_t segment_bytes = 8ull << 20;
-  /// Compact when garbage exceeds this share of the on-disk footprint...
-  double compact_garbage_ratio = 0.5;
-  /// ...and the footprint is at least this (tiny logs aren't worth it).
+  /// Compact when garbage exceeds kCompactGarbageRatio of the on-disk
+  /// footprint and the footprint is at least this (tiny logs aren't
+  /// worth it).
   uint64_t compact_min_bytes = 1ull << 20;
 };
+
+/// Share of the on-disk footprint that garbage must exceed to compact.
+constexpr double kCompactGarbageRatio = 0.5;
 
 /// Process-global options snapshot new LogState instances copy at
 /// construction. Set it on the harness thread before workers start.
@@ -518,7 +521,7 @@ class LogState {
     uint64_t total = disk_bytes();
     if (total < opts_.compact_min_bytes) return;
     if (static_cast<double>(garbage_bytes_) <=
-        opts_.compact_garbage_ratio * static_cast<double>(total)) {
+        kCompactGarbageRatio * static_cast<double>(total)) {
       return;
     }
     CompactNow();

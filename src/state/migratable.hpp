@@ -33,11 +33,12 @@
 //       — whole-value serde, used by checkpoints and by tests comparing
 //         backends. Migration never uses it.
 //
-// Backends shipped here: MapState (flat hash map, the current default),
-// SortedState (ordered map migrating as sorted runs), DenseState (dense
+// Backends shipped here: KeyedState, one keyed backend over two
+// containers — MapState (flat hash map, the current default) and
+// SortedState (ordered map migrating as sorted runs); DenseState (dense
 // vector migrating as offset-tagged slices, copied in bulk when the value
-// type is raw bytes), LogState (spill-to-disk, streamed from its
-// segments), and BlobState (adapter giving any serde-able type the chunk
+// type is raw bytes); LogState (spill-to-disk, streamed from its
+// segments); and BlobState (adapter giving any serde-able type the chunk
 // interface by slicing its encoding). BackendFor<S> picks the backend for
 // a user-declared state type S, so existing operators over
 // std::unordered_map / std::map / std::vector become chunk-aware without

@@ -16,11 +16,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "state/dense_state.hpp"   // IWYU pragma: export
-#include "state/log_state.hpp"     // IWYU pragma: export
-#include "state/map_state.hpp"     // IWYU pragma: export
-#include "state/migratable.hpp"    // IWYU pragma: export
-#include "state/sorted_state.hpp"  // IWYU pragma: export
+#include "state/dense_state.hpp"  // IWYU pragma: export
+#include "state/log_state.hpp"    // IWYU pragma: export
+#include "state/map_state.hpp"    // IWYU pragma: export
+#include "state/migratable.hpp"   // IWYU pragma: export
 
 namespace megaphone {
 namespace state {

@@ -17,8 +17,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <typeindex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -218,51 +216,6 @@ class Channel {
   uint64_t chan_id_ = 0;
   uint32_t local_begin_ = 0;
   uint32_t local_end_ = ~uint32_t{0};
-};
-
-/// Process-wide registry mapping (dataflow, channel) ids to shared channel
-/// instances. Every worker builds the same dataflow, allocating the same
-/// channel ids in the same order; the first to ask creates the channel.
-class ChannelRegistry {
- public:
-  /// Attaches the mesh (multi-process runs): channels created afterwards
-  /// ship non-local pushes over it and register their wire decoder with
-  /// the transport. Must be called before any worker builds a dataflow.
-  void SetNet(NetRuntime* net) { net_ = net; }
-
-  template <typename C>
-  std::shared_ptr<C> GetOrCreate(uint64_t dataflow_id, uint64_t channel_id,
-                                 uint32_t workers) {
-    uint64_t key = (dataflow_id << 32) | channel_id;
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = channels_.find(key);
-    if (it != channels_.end()) {
-      MEGA_CHECK(it->second.type == std::type_index(typeid(C)))
-          << "channel type mismatch between workers";
-      return std::static_pointer_cast<C>(it->second.ptr);
-    }
-    auto ch = std::make_shared<C>(workers);
-    if (net_ != nullptr) {
-      ch->EnableRemote(net_, dataflow_id, channel_id);
-      net_->RegisterDataHandler(
-          dataflow_id, channel_id,
-          [ch](uint32_t target, megaphone::Reader& r) {
-            ch->DecodeAndPush(target, r);
-          });
-    }
-    channels_.emplace(key,
-                      Entry{std::type_index(typeid(C)), ch});
-    return ch;
-  }
-
- private:
-  struct Entry {
-    std::type_index type;
-    std::shared_ptr<void> ptr;
-  };
-  std::mutex mu_;
-  std::unordered_map<uint64_t, Entry> channels_;
-  NetRuntime* net_ = nullptr;
 };
 
 }  // namespace timely

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "timely/operator.hpp"
 #include "timely/stream.hpp"
@@ -63,18 +64,29 @@ class ProbeHandle {
   uint32_t loc_ = 0;
 };
 
+/// The one probe operator: a terminal operator that hands every batch of
+/// `stream` to `consume(t, recs)` under `pact` and returns a probe on its
+/// own input port. Once the probe passes t, every record below t has been
+/// consumed here.
+template <typename D, typename T, typename P, typename F>
+ProbeHandle<T> Probe(Stream<D, T> stream, const char* name, P pact,
+                     F consume) {
+  Scope<T>& scope = *stream.scope();
+  OperatorBuilder<T> b(scope, name);
+  auto* in = b.AddInput(stream, std::move(pact));
+  const uint32_t loc = in->loc();
+  b.Build([in, consume = std::move(consume)](OpCtx<T>&) {
+    in->ForEach([&](const T& t, std::vector<D>& recs) { consume(t, recs); });
+  });
+  return ProbeHandle<T>(scope.df()->shared(), loc);
+}
+
 /// Attaches a probe to `stream`; the returned handle reports the frontier
 /// at the probe's input, i.e. the global completion state of the stream.
 template <typename D, typename T>
 ProbeHandle<T> Probe(Stream<D, T> stream) {
-  Scope<T>& scope = *stream.scope();
-  OperatorBuilder<T> b(scope, "Probe");
-  auto* in = b.AddInput(stream, Pact<D>::Pipeline());
-  uint32_t loc = in->loc();
-  b.Build([in](OpCtx<T>&) {
-    in->ForEach([](const T&, std::vector<D>&) {});
-  });
-  return ProbeHandle<T>(scope.df()->shared(), loc);
+  return Probe(stream, "Probe", Pact<D>::Pipeline(),
+               [](const T&, std::vector<D>&) {});
 }
 
 }  // namespace timely

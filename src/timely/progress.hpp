@@ -390,11 +390,6 @@ class ProgressTracker {
     return finalized_ && nonempty_locs_ == 0;
   }
 
-  size_t num_input_ports() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return input_port_locs_.size();
-  }
-
  private:
   static void CheckAcyclic(const std::vector<std::vector<uint32_t>>& adj) {
     // Kahn's algorithm; the engine supports acyclic dataflows only (all of

@@ -93,7 +93,6 @@ void Execute(const Config& config, Fn fn) {
   auto shared = std::make_shared<RuntimeShared>(
       config.workers * std::max(config.processes, 1u), local_begin,
       config.workers, mesh.get());
-  if (mesh) shared->channels.SetNet(mesh.get());
 
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(config.workers);

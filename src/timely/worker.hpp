@@ -8,14 +8,15 @@
 // on the graph without further coordination.
 #pragma once
 
+#include <barrier>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <typeindex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -28,29 +29,34 @@
 
 namespace timely {
 
-/// Reusable (generation-counting) thread barrier.
-class Barrier {
+/// Maps a 64-bit id to a shared object whose type the first caller fixes.
+/// Every worker builds the same dataflows in the same order and so asks
+/// for the same ids; the first to ask creates the object, once, under the
+/// registry's lock.
+class SharedRegistry {
  public:
-  explicit Barrier(uint32_t n) : n_(n) {}
-
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    uint64_t gen = gen_;
-    if (++count_ == n_) {
-      count_ = 0;
-      gen_++;
-      cv_.notify_all();
-    } else {
-      cv_.wait(lock, [&] { return gen != gen_; });
-    }
+  /// Returns the object under `id`, creating it with `make()` (run under
+  /// the lock) if absent. `created` (optional) reports whether this call
+  /// created it.
+  template <typename C, typename Make>
+  std::shared_ptr<C> GetOrCreate(uint64_t id, Make make,
+                                 bool* created = nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto [it, fresh] = entries_.try_emplace(id, typeid(C), nullptr);
+    if (fresh) it->second.ptr = make();
+    MEGA_CHECK(it->second.type == std::type_index(typeid(C)))
+        << "shared object type mismatch between workers (id " << id << ")";
+    if (created != nullptr) *created = fresh;
+    return std::static_pointer_cast<C>(it->second.ptr);
   }
 
  private:
+  struct Entry {
+    std::type_index type;
+    std::shared_ptr<void> ptr;
+  };
   std::mutex mu_;
-  std::condition_variable cv_;
-  uint32_t n_;
-  uint32_t count_ = 0;
-  uint64_t gen_ = 0;
+  std::unordered_map<uint64_t, Entry> entries_;
 };
 
 /// State shared by all workers of one runtime — in a multi-process run,
@@ -71,35 +77,9 @@ struct RuntimeShared {
   uint32_t local_begin;    // first global worker index of this process
   uint32_t local_workers;  // worker threads in this process
   NetRuntime* net;         // null in single-process runs
-  ChannelRegistry channels;
-  Barrier build_barrier;
-
-  std::mutex df_mu;
-  struct DfEntry {
-    std::type_index type = std::type_index(typeid(void));
-    std::shared_ptr<void> ptr;
-  };
-  std::vector<DfEntry> df_shared;
-
-  /// Returns the per-dataflow shared state, creating it on first request.
-  /// `created` (optional) reports whether this call created it — the
-  /// creating worker wires the distributed-progress hooks exactly once.
-  template <typename Shared>
-  std::shared_ptr<Shared> GetOrCreateDataflowShared(uint64_t df_id,
-                                                    bool* created = nullptr) {
-    std::lock_guard<std::mutex> lock(df_mu);
-    if (df_shared.size() <= df_id) df_shared.resize(df_id + 1);
-    auto& entry = df_shared[df_id];
-    bool fresh = !entry.ptr;
-    if (fresh) {
-      entry.type = std::type_index(typeid(Shared));
-      entry.ptr = std::make_shared<Shared>();
-    }
-    MEGA_CHECK(entry.type == std::type_index(typeid(Shared)))
-        << "dataflow timestamp type mismatch between workers";
-    if (created != nullptr) *created = fresh;
-    return std::static_pointer_cast<Shared>(entry.ptr);
-  }
+  SharedRegistry channels;   // by (dataflow id << 32) | channel id
+  SharedRegistry dataflows;  // DataflowShared<T>, by dataflow id
+  std::barrier<> build_barrier;
 };
 
 /// Per-dataflow state shared by all workers (one progress tracker — in a
@@ -113,9 +93,9 @@ struct DataflowShared {
 /// originated batches are encoded and broadcast to every peer process,
 /// and incoming progress frames decode into ApplyUnbroadcast (no echo).
 /// Called exactly once per dataflow, by the worker whose
-/// GetOrCreateDataflowShared call created the shared state — before any
-/// other worker can observe it, and before the creator's own build
-/// applies its first changes.
+/// `dataflows.GetOrCreate` call created the shared state, before it
+/// reaches the build barrier — so before any worker steps and applies
+/// (and broadcasts) its first changes.
 template <typename T>
 inline void WireDistributedProgress(
     NetRuntime* net, uint64_t df_id,
@@ -257,8 +237,23 @@ class Scope {
   template <typename C>
   std::shared_ptr<C> GetChannel() {
     uint64_t cid = channel_counter_++;
-    return df_->runtime()->channels.template GetOrCreate<C>(df_->id(), cid,
-                                                            peers());
+    const uint64_t df_id = df_->id();
+    NetRuntime* net = df_->runtime()->net;
+    const uint32_t workers = peers();
+    // The creating worker attaches the mesh and registers the channel's
+    // wire decoder, inside the creating call.
+    return df_->runtime()->channels.template GetOrCreate<C>(
+        (df_id << 32) | cid, [df_id, cid, net, workers] {
+          auto ch = std::make_shared<C>(workers);
+          if (net != nullptr) {
+            ch->EnableRemote(net, df_id, cid);
+            net->RegisterDataHandler(
+                df_id, cid, [ch](uint32_t target, megaphone::Reader& r) {
+                  ch->DecodeAndPush(target, r);
+                });
+          }
+          return ch;
+        });
   }
 
   /// Registers initial capability changes applied after the tracker is
@@ -302,8 +297,9 @@ class Worker {
   decltype(auto) Dataflow(BuildFn&& build) {
     uint64_t df_id = next_dataflow_id_++;
     bool created = false;
-    auto shared = runtime_->GetOrCreateDataflowShared<DataflowShared<T>>(
-        df_id, &created);
+    auto shared = runtime_->dataflows.GetOrCreate<DataflowShared<T>>(
+        df_id, [] { return std::make_shared<DataflowShared<T>>(); },
+        &created);
     if (created && runtime_->net != nullptr) {
       WireDistributedProgress<T>(runtime_->net, df_id, shared);
     }
@@ -316,13 +312,13 @@ class Worker {
       build(scope);
       FinishBuild(scope, spec, *shared);
       dataflows_.push_back(std::move(inst));
-      runtime_->build_barrier.Wait();
+      runtime_->build_barrier.arrive_and_wait();
       return;
     } else {
       decltype(auto) result = build(scope);
       FinishBuild(scope, spec, *shared);
       dataflows_.push_back(std::move(inst));
-      runtime_->build_barrier.Wait();
+      runtime_->build_barrier.arrive_and_wait();
       return result;
     }
   }

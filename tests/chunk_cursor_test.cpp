@@ -22,6 +22,7 @@
 
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "megaphone/adaptive.hpp"
 #include "megaphone/bin.hpp"
 #include "megaphone/control.hpp"
 #include "megaphone/stateful.hpp"
@@ -731,6 +732,58 @@ TEST(ChunkCursor, BinBytesArePinned) {
   EXPECT_EQ(BinFingerprint<PairBin<DenseS>>(),
             (Fingerprint{0x9faa86507a1b9963ULL, 0xdeb47d1979d59cd7ULL,
                          0xe7f64ae65275339eULL}));
+}
+
+// The two control-plane frames are pinned byte for byte: the state
+// channel's BinChunk and the adaptive stats channel's BinStatsReport. Each
+// is its fields in declaration order, integers in host order (these bytes
+// are for little-endian hosts), vectors prefixed by a u64 count.
+TEST(ChunkCursor, ControlFrameBytesArePinned) {
+  BinChunk c;
+  c.target = 1;
+  c.bin = 0x0207;
+  c.seq = 3;
+  c.last = 0;
+  c.bytes = {0xaa, 0xbb};
+  const std::vector<uint8_t> chunk = {
+      0x01, 0x00, 0x00, 0x00,                          // target
+      0x07, 0x02, 0x00, 0x00,                          // bin
+      0x03, 0x00, 0x00, 0x00,                          // seq
+      0x00,                                            // last
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // bytes: count
+      0xaa, 0xbb};
+  EXPECT_EQ(EncodeToBytes(c), chunk);
+  EXPECT_EQ(c.WireSize(), chunk.size());
+  BinChunk back = DecodeFromBytes<BinChunk>(chunk);
+  EXPECT_EQ(back.target, 1u);
+  EXPECT_EQ(back.bin, 0x0207u);
+  EXPECT_EQ(back.seq, 3u);
+  EXPECT_EQ(back.last, 0u);
+  EXPECT_EQ(back.bytes, c.bytes);
+
+  BinStatsReport r;
+  r.worker = 2;
+  r.epoch = 0x0105;
+  r.records = {1, 0x0302};
+  r.state_bytes = {300};
+  r.resident = {1, 0};
+  const std::vector<uint8_t> report = {
+      0x02, 0x00, 0x00, 0x00,                          // worker
+      0x05, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // epoch
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // records: count
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x02, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // state_bytes: count
+      0x2c, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  //
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // resident: count
+      0x01, 0x00};
+  EXPECT_EQ(EncodeToBytes(r), report);
+  BinStatsReport rback = DecodeFromBytes<BinStatsReport>(report);
+  EXPECT_EQ(rback.worker, 2u);
+  EXPECT_EQ(rback.epoch, 0x0105u);
+  EXPECT_EQ(rback.records, r.records);
+  EXPECT_EQ(rback.state_bytes, r.state_bytes);
+  EXPECT_EQ(rback.resident, r.resident);
 }
 
 }  // namespace

@@ -273,23 +273,18 @@ TEST(Throttle, CreditCapsAtOneSecond) {
   EXPECT_FALSE(t.Admit(500, now));  // cap was 1s worth, not 60s
 }
 
-TEST(Throttle, OversizedSendPassesOnFullBucketThenRepaysDebt) {
-  // 5000 B can never fit a 1000 B/s bucket: it passes once the bucket is
-  // full, and the next send waits until the 4000 B debt is repaid.
+TEST(Throttle, OversizedSendWaitsForItsOwnCredit) {
+  // 5000 B can never fit a one-second bucket at 1000 B/s. While it waits,
+  // credit builds up to 5000 B: from the primed 1000 B that takes 4 s,
+  // and the send leaves no debt behind.
   ByteThrottle t(1000);
   uint64_t now = 1;
-  EXPECT_TRUE(t.Admit(5000, now));
-  now += 3'000'000'000;              // +3 s -> still 1000 B in debt
-  EXPECT_FALSE(t.Admit(1, now));
-  now += 999'000'000;                // +0.999 s -> 1 B short of zero
-  EXPECT_FALSE(t.Admit(1, now));
-  now += 3'000'000;                  // +3 ms -> 2 B of credit
-  EXPECT_TRUE(t.Admit(1, now));
-  // An oversized send waits for a full bucket, not just a positive one.
-  now += 500'000'000;
+  EXPECT_FALSE(t.Admit(5000, now));  // primed bucket: 1000 B
+  now += 3'999'000'000;              // +3.999 s -> 4999 B
   EXPECT_FALSE(t.Admit(5000, now));
-  now += 500'000'000;
+  now += 1'000'000;                  // +4 s -> 5000 B
   EXPECT_TRUE(t.Admit(5000, now));
+  EXPECT_FALSE(t.Admit(1, now));     // the send used all the credit
 }
 
 }  // namespace

@@ -104,8 +104,8 @@ TEST(TimelyExtra, ThrottledOutputDelaysButDeliversAll) {
 
 TEST(TimelyExtra, ThrottledRecordLargerThanOneSecondStillDelivers) {
   // A single record that outweighs a full second of bandwidth can never
-  // fit the token bucket; the throttle must still let it through once
-  // the bucket is full instead of spinning forever.
+  // fit a one-second token bucket; the throttle must still let it through
+  // once its own credit has built up instead of spinning forever.
   std::atomic<uint64_t> received{0};
   Execute(Config{1}, [&](Worker& w) {
     auto input = w.Dataflow<uint64_t>([&](Scope<uint64_t>& s) {
@@ -113,8 +113,8 @@ TEST(TimelyExtra, ThrottledRecordLargerThanOneSecondStillDelivers) {
       OperatorBuilder<uint64_t> b(s, "Oversized");
       auto* h = b.AddInput(stream, Pact<uint64_t>::Pipeline());
       auto [out, out_stream] = b.AddOutput<uint64_t>();
-      out->SetThrottle(1024,  // 1 KiB/s, one record is 4 KiB
-                       [](const uint64_t&) { return size_t{4096}; });
+      out->SetThrottle(1024,  // 1 KiB/s, one record is 1.5 KiB
+                       [](const uint64_t&) { return size_t{1536}; });
       b.Build([h, out](OpCtx<uint64_t>&) {
         h->ForEach([&](const uint64_t& t, std::vector<uint64_t>& d) {
           out->SendBatch(t, std::move(d));
