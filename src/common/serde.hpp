@@ -15,9 +15,12 @@
 #pragma once
 
 #include <algorithm>
+#include <compare>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -89,11 +92,21 @@ class Reader {
   explicit Reader(const std::vector<uint8_t>& v)
       : Reader(v.data(), v.size()) {}
 
-  void ReadBytes(void* out, size_t n) {
+  /// Returns a view of the next `n` bytes and advances past them — one
+  /// bounds check for a caller that copies a run out itself. The view
+  /// lives as long as the buffer and is not aligned for any type wider
+  /// than a byte (read it through UnalignedIter).
+  const uint8_t* ReadView(size_t n) {
     if (n > size_ - pos_) throw SerdeError("serde: read past end of buffer");
-    if (n == 0) return;  // out may be null (e.g. an empty vector's data())
-    std::memcpy(out, data_ + pos_, n);
+    const uint8_t* p = data_ + pos_;
     pos_ += n;
+    return p;
+  }
+
+  void ReadBytes(void* out, size_t n) {
+    const uint8_t* p = ReadView(n);
+    if (n == 0) return;  // out may be null (e.g. an empty vector's data())
+    std::memcpy(out, p, n);
   }
 
   /// Reads a u64 element count for a container whose elements occupy at
@@ -126,6 +139,71 @@ class Reader {
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
+};
+
+/// Random-access iterator over the T values stored back to back at a
+/// byte address of any alignment; each dereference loads one value with
+/// a memcpy. A range of them fills a container in one pass, e.g.
+/// `v.insert(v.end(), first, last)` into reserved capacity, with no
+/// value-initialization of the destination first.
+template <typename T>
+class UnalignedIter {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+ public:
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = T;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = T;
+
+  UnalignedIter() = default;
+  explicit UnalignedIter(const uint8_t* p) : p_(p) {}
+
+  T operator*() const {
+    T v;
+    std::memcpy(&v, p_, sizeof(T));
+    return v;
+  }
+  T operator[](difference_type i) const { return *(*this + i); }
+  UnalignedIter& operator++() { return *this += 1; }
+  UnalignedIter operator++(int) {
+    UnalignedIter t = *this;
+    ++*this;
+    return t;
+  }
+  UnalignedIter& operator--() { return *this -= 1; }
+  UnalignedIter operator--(int) {
+    UnalignedIter t = *this;
+    --*this;
+    return t;
+  }
+  UnalignedIter& operator+=(difference_type n) {
+    p_ += n * static_cast<difference_type>(sizeof(T));
+    return *this;
+  }
+  UnalignedIter& operator-=(difference_type n) { return *this += -n; }
+  friend UnalignedIter operator+(UnalignedIter it, difference_type n) {
+    return it += n;
+  }
+  friend UnalignedIter operator+(difference_type n, UnalignedIter it) {
+    return it += n;
+  }
+  friend UnalignedIter operator-(UnalignedIter it, difference_type n) {
+    return it -= n;
+  }
+  friend difference_type operator-(UnalignedIter a, UnalignedIter b) {
+    return (a.p_ - b.p_) / static_cast<difference_type>(sizeof(T));
+  }
+  friend bool operator==(UnalignedIter a, UnalignedIter b) {
+    return a.p_ == b.p_;
+  }
+  friend auto operator<=>(UnalignedIter a, UnalignedIter b) {
+    return a.p_ <=> b.p_;
+  }
+
+ private:
+  const uint8_t* p_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -297,8 +375,15 @@ struct Serde<std::vector<T>> {
     if constexpr (std::is_trivially_copyable_v<T> &&
                   !detail::HasMemberSerde<T>) {
       uint64_t n = r.ReadCount(sizeof(T));
-      v.resize(n);
-      r.ReadBytes(v.data(), n * sizeof(T));
+      if constexpr (std::is_same_v<T, uint8_t>) {
+        // Byte payloads (a state frame off the mesh) are copied once into
+        // an exact allocation, with no zero fill first.
+        const uint8_t* p = r.ReadView(n);
+        v.assign(p, p + n);
+      } else {
+        v.resize(n);
+        r.ReadBytes(v.data(), n * sizeof(T));
+      }
     } else {
       uint64_t n = r.ReadCount(1);
       // Reserve is speculative (ReadCount only bounds n by remaining

@@ -447,7 +447,7 @@ inline CountBenchResult RunCountBench(const CountBenchConfig& cfg,
       if (w.IsLocalRoot()) {
         rec.Observe(
             now, cur_epoch, [&](uint64_t e) { return !op.probe.LessEqual(e); },
-            controller.Migrating(), controller.completed_batches());
+            controller.progress());
       }
     }
 

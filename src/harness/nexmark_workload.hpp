@@ -197,7 +197,7 @@ inline NexmarkBenchResult RunNexmarkBench(NexmarkBenchConfig cfg,
       if (w.IsLocalRoot()) {
         rec.Observe(
             now, cur_epoch, [&](uint64_t e) { return !probe.LessEqual(e); },
-            controller.Migrating(), controller.completed_batches());
+            controller.progress());
       }
     }
 

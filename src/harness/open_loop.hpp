@@ -9,10 +9,12 @@
 //   * A latency sample is one epoch's completion: epoch e's deadline is
 //     start + e * epoch_ns, and its latency is how long after the
 //     deadline the probe first showed e complete.
-//   * A migration window runs from the first observation at which the
-//     controller reports Migrating() to the first at which it does not.
-//     Its max_ms is the timeline's max over [start, end + 500 ms): the
-//     backlog a migration builds drains after the last batch completes.
+//   * A migration window covers one plan: it runs from the first
+//     observation at which the controller reports Migrating() to the
+//     first at which the plan has completed. A plan queued behind another
+//     opens its window as the one before it closes. Its max_ms is the
+//     timeline's max over [start, end + 500 ms): the backlog a migration
+//     builds drains after the last batch completes.
 //   * "steady" holds the samples acked while no window was open;
 //     "per_record" holds every sample.
 #pragma once
@@ -130,18 +132,17 @@ class OpenLoopRecorder {
       : start_(start_ns), epoch_ns_(epoch_ns), weight_(weight) {}
 
   /// Observes the run at wall time `now`: epochs below `cur_epoch` are
-  /// closed, `acked(e)` tells whether epoch e has completed, `migrating`
-  /// is the controller's Migrating() and `completed_batches` its batch
-  /// count. Every 250 ms it also samples RSS and the oldest outstanding
-  /// epoch's lateness, so a stall shows while it lasts.
+  /// closed, `acked(e)` tells whether epoch e has completed, and `mig` is
+  /// the controller's progress(). Every 250 ms it also samples RSS and the
+  /// oldest outstanding epoch's lateness, so a stall shows while it lasts.
   template <typename Acked>
   void Observe(uint64_t now, uint64_t cur_epoch, Acked&& acked,
-               bool migrating, size_t completed_batches) {
+               const MigrationProgress& mig) {
     while (next_ack_ < cur_epoch && acked(next_ack_)) {
       uint64_t lat = now > Deadline(next_ack_) ? now - Deadline(next_ack_) : 0;
       timeline_.Add(now - start_, lat, 1);
       per_record_.Add(lat, weight_);
-      if (!migrating) steady_.Add(lat, weight_);
+      if (!mig.migrating) steady_.Add(lat, weight_);
       next_ack_++;
     }
     if (now - start_ >= next_tick_) {
@@ -151,23 +152,32 @@ class OpenLoopRecorder {
       rss_.emplace_back(Sec(now), CurrentRssBytes());
       next_tick_ += 250'000'000;
     }
-    if (migrating && !window_open_) {
+    ObserveMigration(now, mig);
+  }
+
+  /// The window part of Observe alone, for the end-of-run drain, whose
+  /// acks Finish samples: closes the open window once its plan has
+  /// completed, and opens one while the controller is migrating.
+  void ObserveMigration(uint64_t now, const MigrationProgress& mig) {
+    if (window_open_ &&
+        (!mig.migrating || mig.completed_plans != plans_before_)) {
+      CloseWindow(now, mig.completed_batches);
+    }
+    if (mig.migrating && !window_open_) {
       MigrationStats ms;
       ms.start_sec = Sec(now);
       windows_.push_back(ms);
+      window_open_ = true;
+      plans_before_ = mig.completed_plans;
       frames_before_ = chunk_counters().frames.load();
       bytes_before_ = chunk_counters().bytes.load();
-    } else if (!migrating && window_open_) {
-      CloseWindow(now, completed_batches);
     }
-    window_open_ = migrating;
   }
 
   /// Ends the record at `now`, after the final drain: epochs through
   /// `last_epoch` still unacked are sampled at their lateness now, a
-  /// window the drain completed closes at `now`, and every window gets
-  /// its max_ms. The caller fills in process_index, records_sent and
-  /// outputs.
+  /// window still open closes at `now`, and every window gets its max_ms.
+  /// The caller fills in process_index, records_sent and outputs.
   BenchShard Finish(uint64_t now, uint64_t last_epoch,
                     size_t completed_batches) {
     for (; next_ack_ <= last_epoch; ++next_ack_) {
@@ -196,6 +206,7 @@ class OpenLoopRecorder {
     return static_cast<double>(now - start_) * 1e-9;
   }
   void CloseWindow(uint64_t now, size_t completed_batches) {
+    window_open_ = false;
     MigrationStats& ms = windows_.back();
     ms.end_sec = Sec(now);
     ms.batches = completed_batches - batches_before_;
@@ -212,7 +223,8 @@ class OpenLoopRecorder {
   std::vector<MigrationStats> windows_;
   std::vector<RssSample> rss_;
   bool window_open_ = false;
-  size_t batches_before_ = 0;  // completed_batches() at the last close
+  size_t batches_before_ = 0;  // completed_batches at the last close
+  size_t plans_before_ = 0;    // completed_plans at the window's open
   uint64_t frames_before_ = 0;  // chunk_counters() at the window's open
   uint64_t bytes_before_ = 0;
   uint64_t next_ack_ = 1;   // next epoch awaiting completion
@@ -238,24 +250,30 @@ struct OpenLoopRun {
   /// A worker's end of run, after its injection loop: adds its `sent`
   /// records, closes the controller past `last_epoch` and the inputs
   /// (`close_inputs()`). Each process's local root then drains to
-  /// probe.Done(), finishes `rec` into the process's shard and ships it to
-  /// global worker 0, which keeps the shards for Merge. probe.Done()
-  /// needs every process's inputs closed, so by then every local worker
-  /// has added its records and every issued batch has completed: the
-  /// shard counts the batch in flight and the queued ones Close flushes.
+  /// probe.Done(), following the controller's remaining batches so that
+  /// each plan still closes its own window, finishes `rec` into the
+  /// process's shard and ships it to global worker 0, which keeps the
+  /// shards for Merge. probe.Done() needs every process's inputs closed,
+  /// so by then every local worker has added its records and every issued
+  /// batch has completed: the shard counts the batch in flight and the
+  /// queued ones Close flushes.
   template <typename T, typename CloseInputs>
   void Finish(timely::Worker& w, uint32_t process_index, uint64_t sent,
               uint64_t last_epoch, MigrationController<T>& ctrl,
               CloseInputs&& close_inputs, const timely::ProbeHandle<T>& probe,
               OpenLoopRecorder& rec, SideChannel<BenchShard, T>& rep) {
     records_sent += sent;
-    const size_t batches = ctrl.completed_batches() + ctrl.queued_batches() +
-                           (ctrl.in_flight_time() ? 1 : 0);
     ctrl.Close(last_epoch + 1);
     close_inputs();
     if (w.IsLocalRoot()) {
-      w.StepUntil([&] { return probe.Done(); });
-      BenchShard shard = rec.Finish(NowNanos(), last_epoch, batches);
+      w.StepUntil([&] {
+        ctrl.Poll();
+        rec.ObserveMigration(NowNanos(), ctrl.progress());
+        return probe.Done();
+      });
+      ctrl.Poll();  // the frontier may have moved since the last check
+      BenchShard shard =
+          rec.Finish(NowNanos(), last_epoch, ctrl.completed_batches());
       shard.process_index = process_index;
       shard.records_sent = records_sent.load();
       shard.outputs = outputs.load();

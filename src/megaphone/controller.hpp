@@ -27,6 +27,13 @@
 
 namespace megaphone {
 
+/// What the open-loop recorder reads of a controller after every step.
+struct MigrationProgress {
+  bool migrating = false;        // batches queued or in flight
+  size_t completed_batches = 0;  // batches whose S frontier has passed
+  size_t completed_plans = 0;    // plans (Migrate calls) fully completed
+};
+
 /// Drives one control input for one worker. `T` must be an integral epoch
 /// type (the evaluation uses nanoseconds or round counters).
 template <typename T>
@@ -48,9 +55,12 @@ class MigrationController {
       : control_(std::move(control)), probe_(std::move(probe)),
         worker_(worker), options_(options) {}
 
-  /// Schedules a migration described by its batch sequence. All workers
-  /// must schedule identical migrations in the same order.
+  /// Schedules a migration plan described by its batch sequence; an
+  /// empty plan schedules nothing. All workers must schedule identical
+  /// migrations in the same order.
   void Migrate(std::deque<std::vector<ControlInst>> batches) {
+    if (batches.empty()) return;
+    plan_batches_left_.push_back(batches.size());
     for (auto& b : batches) pending_batches_.push_back(std::move(b));
   }
 
@@ -68,20 +78,14 @@ class MigrationController {
     MEGA_CHECK_LT(now, next);
     control_->AdvanceTo(std::max(control_->epoch(), now));
 
-    // Completion check for the in-flight batch: the S output frontier has
-    // passed its timestamp.
-    if (in_flight_ && !probe_.LessEqual(*in_flight_)) {
-      in_flight_.reset();
-      not_before_ = SaturatingAdd(now, options_.gap);
-      completed_batches_++;
-    }
+    if (Poll()) not_before_ = SaturatingAdd(now, options_.gap);
 
-    if (!in_flight_ && !pending_batches_.empty() && now >= not_before_) {
+    if (issued_.empty() && !pending_batches_.empty() && now >= not_before_) {
       if (worker_ == 0) {
         std::vector<ControlInst> batch = pending_batches_.front();
         control_->SendBatch(std::move(batch));
       }
-      in_flight_ = now;
+      issued_.push_back(now);
       pending_batches_.pop_front();
     }
 
@@ -90,26 +94,51 @@ class MigrationController {
 
   /// Flushes all queued batches and closes the control input; call when
   /// the driver is done. Remaining batches are issued immediately at the
-  /// final epoch (they will complete as the dataflow drains).
+  /// final epoch (they will complete as the dataflow drains; Poll counts
+  /// them).
   void Close(const T& now) {
-    control_->AdvanceTo(std::max(control_->epoch(), now));
-    if (worker_ == 0) {
-      while (!pending_batches_.empty()) {
-        std::vector<ControlInst> batch = pending_batches_.front();
-        control_->SendBatch(std::move(batch));
-        pending_batches_.pop_front();
-      }
-    } else {
-      pending_batches_.clear();
+    const T at = std::max(control_->epoch(), now);
+    control_->AdvanceTo(at);
+    for (auto& batch : pending_batches_) {
+      if (worker_ == 0) control_->SendBatch(std::move(batch));
+      issued_.push_back(at);
     }
+    pending_batches_.clear();
     control_->Close();
   }
 
+  /// Counts the issued batches whose timestamp the S output frontier has
+  /// passed, oldest first, and the plans they complete; returns whether
+  /// any completed. Advance calls it; after Close, a driver draining the
+  /// dataflow calls it to follow the batches still in flight.
+  bool Poll() {
+    bool any = false;
+    while (!issued_.empty() && !probe_.LessEqual(issued_.front())) {
+      issued_.pop_front();
+      any = true;
+      completed_batches_++;
+      if (--plan_batches_left_.front() == 0) {
+        plan_batches_left_.pop_front();
+        completed_plans_++;
+      }
+    }
+    return any;
+  }
+
   /// True while batches remain queued or in flight.
-  bool Migrating() const { return in_flight_ || !pending_batches_.empty(); }
+  bool Migrating() const {
+    return !issued_.empty() || !pending_batches_.empty();
+  }
   size_t completed_batches() const { return completed_batches_; }
+  MigrationProgress progress() const {
+    return {Migrating(), completed_batches_, completed_plans_};
+  }
   size_t queued_batches() const { return pending_batches_.size(); }
-  std::optional<T> in_flight_time() const { return in_flight_; }
+  /// The oldest batch in flight's timestamp.
+  std::optional<T> in_flight_time() const {
+    if (issued_.empty()) return std::nullopt;
+    return issued_.front();
+  }
 
  private:
   timely::Input<ControlInst, T> control_;
@@ -118,9 +147,14 @@ class MigrationController {
   Options options_;
 
   std::deque<std::vector<ControlInst>> pending_batches_;
-  std::optional<T> in_flight_;
+  /// Batches not yet completed of each scheduled plan, oldest first.
+  std::deque<size_t> plan_batches_left_;
+  /// Timestamps of the batches issued and not yet completed: at most one
+  /// before Close, which adds every queued batch.
+  std::deque<T> issued_;
   T not_before_ = TimestampTraits_Minimum();
   size_t completed_batches_ = 0;
+  size_t completed_plans_ = 0;
 
   static T TimestampTraits_Minimum() {
     return timely::TimestampTraits<T>::Minimum();

@@ -25,7 +25,8 @@
 //         extraction arrive exactly once, in emission order);
 //   void FinishAbsorb()
 //       — called after the last chunk; backends that buffer (BlobState)
-//         decode here, entry-granular backends do nothing;
+//         decode here, DenseState rejects a bin short of the total its
+//         chunks carry, LogState may compact, KeyedState does nothing;
 //   void EnumerateChunks(size_t max_bytes, const ChunkEmit& emit) const
 //       — the cursor run to completion, one payload per chunk (a wrapper
 //         for tests and the per-layer benchmark);
@@ -36,8 +37,8 @@
 // Backends shipped here: KeyedState, one keyed backend over two
 // containers — MapState (flat hash map, the current default) and
 // SortedState (ordered map migrating as sorted runs); DenseState (dense
-// vector migrating as offset-tagged slices, copied in bulk when the value
-// type is raw bytes); LogState (spill-to-disk, streamed from its
+// vector migrating as offset- and total-tagged slices, copied in bulk
+// when the value type is raw bytes); LogState (spill-to-disk, streamed from its
 // segments); and BlobState (adapter giving any serde-able type the chunk
 // interface by slicing its encoding). BackendFor<S> picks the backend for
 // a user-declared state type S, so existing operators over

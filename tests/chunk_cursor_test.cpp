@@ -295,13 +295,14 @@ TEST(ChunkCursor, SmallBinsPackIntoFullFrames) {
     Migration<SmallBin> f(256, 2, chunk);
     std::vector<ControlInst> moves;
     for (BinId b = 0; b < 256; b += 2) {
-      MakeDense(f.shared, b, 256);  // 2 KB: one 2,056-byte state section
+      MakeDense(f.shared, b, 256);  // 2 KB: one 2,064-byte state section
       moves.push_back({b, 1});
     }
     f.Plan(5, moves);
     f.Start(6);
     auto sent = f.Flush(0);
-    const size_t payload = 128 * (sizeof(uint64_t) + 256 * sizeof(uint64_t));
+    const size_t payload =
+        128 * (2 * sizeof(uint64_t) + 256 * sizeof(uint64_t));
     EXPECT_EQ(sent.size(), (payload + chunk - 1) / chunk);
     size_t total = 0;
     size_t segments = 0;
@@ -311,8 +312,8 @@ TEST(ChunkCursor, SmallBinsPackIntoFullFrames) {
       total += p;
       segments += Segments(c).size();
     }
-    // Each segment's state section carries its own u64 offset.
-    EXPECT_EQ(total, 128 * 256 * sizeof(uint64_t) + segments * 8);
+    // Each segment's state section carries its own u64 offset and total.
+    EXPECT_EQ(total, 128 * 256 * sizeof(uint64_t) + segments * 16);
     Destination<SmallBin> d(256);
     for (const auto& [t, c] : sent) d.Absorb(c);
     EXPECT_EQ(d.shared.ResidentBins(), 128u);
@@ -338,7 +339,7 @@ TEST(ChunkCursor, FramesNeverMixTargetsOrTimes) {
   }
   f.Start(8);
   auto sent = f.Flush(0);
-  // One frame per (time, target): each holds 2 bins of 808 payload bytes.
+  // One frame per (time, target): each holds 2 bins of 816 payload bytes.
   EXPECT_EQ(sent.size(), 4u);
   for (const auto& [t, c] : sent) {
     for (const SegmentInfo& seg : Segments(c)) {
@@ -396,8 +397,8 @@ TEST(ChunkCursor, PackedEmptyBinsBecomeResident) {
 // frame's first segment.
 TEST(ChunkCursor, BinStartedInATailContinuesAtSeqOne) {
   Migration<SmallBin> f(4, 2, 4096);
-  MakeDense(f.shared, 0, 256);  // 2,056 bytes: leaves 2,040 of room
-  MakeDense(f.shared, 2, 400);  // 3,208 bytes: starts in that room
+  MakeDense(f.shared, 0, 256);  // 2,064 bytes: leaves 2,032 of room
+  MakeDense(f.shared, 2, 400);  // 3,216 bytes: starts in that room
   f.Plan(5, {{0, 1}, {2, 1}});
   f.Start(6);
   auto sent = f.Flush(0);
@@ -727,11 +728,11 @@ TEST(ChunkCursor, BinBytesArePinned) {
             (Fingerprint{0x79ac832fb1481951ULL, 0xcb683a060e3e5b57ULL,
                          0xeb94e1a77f31ca44ULL}));
   EXPECT_EQ(BinFingerprint<UnaryBin<DenseS>>(),
-            (Fingerprint{0x4a23d2fcd72bf228ULL, 0xb3d0a2ec78a56587ULL,
-                         0xc260d7dc0745a0edULL}));
+            (Fingerprint{0x4a23d2fcd72bf228ULL, 0xe8ac422a75018bcfULL,
+                         0x6084a53b22d7355bULL}));
   EXPECT_EQ(BinFingerprint<PairBin<DenseS>>(),
-            (Fingerprint{0x9faa86507a1b9963ULL, 0xdeb47d1979d59cd7ULL,
-                         0xe7f64ae65275339eULL}));
+            (Fingerprint{0x9faa86507a1b9963ULL, 0x20fb6187c834aebbULL,
+                         0x0b57fb86a09b2742ULL}));
 }
 
 // The two control-plane frames are pinned byte for byte: the state

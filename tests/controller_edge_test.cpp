@@ -1,7 +1,8 @@
 // Edge cases of the MigrationController protocol: a stalled probe must
 // never double-issue the in-flight batch, the configured gap must be
-// enforced between batches, and Close with batches still queued must
-// flush every remaining batch into the control stream.
+// enforced between batches, Close with batches still queued must flush
+// every remaining batch into the control stream, and completed plans are
+// counted one by one, also after Close.
 //
 // The probe is simulated: it watches an auxiliary input stream whose
 // epoch the test advances by hand, which is exactly what the controller
@@ -12,6 +13,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "megaphone/megaphone.hpp"
@@ -96,6 +98,51 @@ TEST(ControllerEdge, StalledProbeNeverDoubleIssues) {
     seen = rig.ctrl_records;
   });
   EXPECT_EQ(*seen, 2u);  // each batch's single record, sent once
+}
+
+// A plan completes with its last batch; a plan queued behind another
+// counts separately, and an empty plan schedules nothing.
+TEST(ControllerEdge, CountsCompletedPlans) {
+  timely::Execute(timely::Config{1}, [&](Worker& w) {
+    auto rig = w.Dataflow<T>(BuildRig);
+    MigrationController<T> controller(rig.ctrl, rig.probe, w.index(), {});
+    controller.Migrate(FluidBatches(2));
+    controller.Migrate({});
+    controller.Migrate(FluidBatches(1));
+    auto progress = [&] {
+      const MigrationProgress p = controller.progress();
+      return std::vector<size_t>{p.migrating, p.completed_batches,
+                                 p.completed_plans};
+    };
+    EXPECT_EQ(progress(), (std::vector<size_t>{1, 0, 0}));
+
+    controller.Advance(0, 1);  // plan 1, batch 0
+    rig.sim->AdvanceTo(1);
+    controller.Advance(1, 2);  // batch 0 done; plan 1, batch 1 issued
+    EXPECT_EQ(progress(), (std::vector<size_t>{1, 1, 0}));
+    rig.sim->AdvanceTo(2);
+    controller.Advance(2, 3);  // plan 1 done; plan 2's batch issued
+    EXPECT_EQ(progress(), (std::vector<size_t>{1, 2, 1}));
+    rig.sim->AdvanceTo(3);
+    controller.Advance(3, 4);  // plan 2 done
+    EXPECT_EQ(progress(), (std::vector<size_t>{0, 3, 2}));
+
+    // Close flushes plan 3's second batch while its first is in flight;
+    // Poll follows both as the frontier passes them.
+    controller.Migrate(FluidBatches(2));
+    controller.Advance(4, 5);  // plan 3, batch 0 at 4
+    controller.Close(6);       // plan 3, batch 1 at 6
+    EXPECT_EQ(progress(), (std::vector<size_t>{1, 3, 2}));
+    rig.sim->AdvanceTo(5);
+    EXPECT_TRUE(controller.Poll());
+    EXPECT_EQ(progress(), (std::vector<size_t>{1, 4, 2}));
+    EXPECT_EQ(controller.in_flight_time(), std::optional<T>(6));
+    rig.sim->AdvanceTo(7);
+    EXPECT_TRUE(controller.Poll());
+    EXPECT_EQ(progress(), (std::vector<size_t>{0, 5, 3}));
+    EXPECT_FALSE(controller.Poll());
+    rig.sim->Close();
+  });
 }
 
 TEST(ControllerEdge, GapIsEnforcedBetweenBatches) {

@@ -136,8 +136,10 @@ TEST(Flags, ParsesKeyValueForms) {
 }
 
 // A scripted run of the recorder with 1 ms epochs and 10 records per
-// epoch: acks before, during and after a window; a window that closes;
-// and a second window the final drain completes.
+// epoch: acks before, during and after a window; a window that closes; a
+// second plan that completes while a third is queued behind it, so its
+// window closes as the third's opens; and the third's window, which the
+// final drain completes.
 TEST(OpenLoopRecorder, ScriptedWindowsAndSamples) {
   const uint64_t ms = 1'000'000;
   const uint64_t start = 1'000 * ms;
@@ -145,11 +147,12 @@ TEST(OpenLoopRecorder, ScriptedWindowsAndSamples) {
   auto acked = [&](uint64_t e) { return e <= acked_through; };
   OpenLoopRecorder rec(start, ms, 10);
 
-  rec.Observe(start, 1, acked, false, 0);  // first tick: one RSS sample
+  // Progress as {migrating, completed batches, completed plans}.
+  rec.Observe(start, 1, acked, {false, 0, 0});  // first tick: RSS sample
   acked_through = 3;  // epochs 1-3 acked at 5 ms: steady samples
-  rec.Observe(start + 5 * ms, 5, acked, false, 0);
+  rec.Observe(start + 5 * ms, 5, acked, {false, 0, 0});
   acked_through = 6;  // epochs 4-6 acked at 10 ms, as the window opens
-  rec.Observe(start + 10 * ms, 10, acked, true, 0);
+  rec.Observe(start + 10 * ms, 10, acked, {true, 0, 0});
   const uint64_t frames0 = chunk_counters().frames.load();
   const uint64_t bytes0 = chunk_counters().bytes.load();
   chunk_counters().frames += 7;
@@ -157,10 +160,16 @@ TEST(OpenLoopRecorder, ScriptedWindowsAndSamples) {
   // At 300 ms: epochs 7-9 acked (steady again), the 250 ms tick samples
   // epoch 10's lateness, and the window closes after 2 batches.
   acked_through = 9;
-  rec.Observe(start + 300 * ms, 300, acked, false, 2);
-  rec.Observe(start + 400 * ms, 400, acked, true, 2);  // second window
+  rec.Observe(start + 300 * ms, 300, acked, {false, 2, 1});
+  // Two more plans, issued together: the second window opens at 400 ms.
+  rec.Observe(start + 400 * ms, 400, acked, {true, 2, 1});
   chunk_counters().frames += 3;
   chunk_counters().bytes += 300;
+  // At 450 ms the second plan's one batch completes and the third plan's
+  // first batch is in flight: one window closes and the next opens.
+  rec.Observe(start + 450 * ms, 400, acked, {true, 3, 2});
+  chunk_counters().frames += 4;
+  chunk_counters().bytes += 40;
   // The drain acks epochs 10-400 at 1 s and closes the open window.
   BenchShard shard = rec.Finish(start + 1'000 * ms, 400, 5);
 
@@ -175,7 +184,7 @@ TEST(OpenLoopRecorder, ScriptedWindowsAndSamples) {
   EXPECT_EQ(shard.rss.size(), 2u);           // ticks at 0 and 300 ms
   EXPECT_DOUBLE_EQ(shard.duration_sec, 1.0);
 
-  ASSERT_EQ(shard.migrations.size(), 2u);
+  ASSERT_EQ(shard.migrations.size(), 3u);
   const MigrationStats& w0 = shard.migrations[0];
   EXPECT_DOUBLE_EQ(w0.start_sec, 0.010);
   EXPECT_DOUBLE_EQ(w0.end_sec, 0.300);
@@ -186,13 +195,21 @@ TEST(OpenLoopRecorder, ScriptedWindowsAndSamples) {
   EXPECT_DOUBLE_EQ(w0.max_ms, 293.0);
   const MigrationStats& w1 = shard.migrations[1];
   EXPECT_DOUBLE_EQ(w1.start_sec, 0.400);
-  EXPECT_DOUBLE_EQ(w1.end_sec, 1.0);
-  EXPECT_EQ(w1.batches, 3u);
+  EXPECT_DOUBLE_EQ(w1.end_sec, 0.450);
+  EXPECT_EQ(w1.batches, 1u);
   EXPECT_EQ(w1.chunk_frames, 3u);
   EXPECT_EQ(w1.chunk_bytes, 300u);
-  EXPECT_DOUBLE_EQ(w1.max_ms, 990.0);  // epoch 10, drained at 1 s
-  EXPECT_EQ(chunk_counters().frames.load() - frames0, 10u);
-  EXPECT_EQ(chunk_counters().bytes.load() - bytes0, 7300u);
+  // [400 ms, 950 ms) covers buckets 1-3: epoch 7's 293 ms, not the drain.
+  EXPECT_DOUBLE_EQ(w1.max_ms, 293.0);
+  const MigrationStats& w2 = shard.migrations[2];
+  EXPECT_DOUBLE_EQ(w2.start_sec, 0.450);
+  EXPECT_DOUBLE_EQ(w2.end_sec, 1.0);
+  EXPECT_EQ(w2.batches, 2u);
+  EXPECT_EQ(w2.chunk_frames, 4u);
+  EXPECT_EQ(w2.chunk_bytes, 40u);
+  EXPECT_DOUBLE_EQ(w2.max_ms, 990.0);  // epoch 10, drained at 1 s
+  EXPECT_EQ(chunk_counters().frames.load() - frames0, 14u);
+  EXPECT_EQ(chunk_counters().bytes.load() - bytes0, 7340u);
 }
 
 // Records the migrations a MigrationSchedule issues.
@@ -278,6 +295,30 @@ TEST(CountBench, SmokeRunNoMigration) {
   EXPECT_GT(result.per_record.total(), 0u);
   EXPECT_TRUE(result.migrations.empty());
   EXPECT_FALSE(result.timeline.Rows().empty());
+}
+
+// Two plans due at once: the second queues behind the first, and each
+// gets its own migration window, the second opening as the first closes.
+TEST(CountBench, PlanQueuedBehindAnotherGetsItsOwnWindow) {
+  CountBenchConfig cfg;
+  cfg.workers = 2;
+  cfg.num_bins = 16;
+  cfg.domain = 1 << 12;
+  cfg.rate = 20'000;
+  cfg.duration_ms = 500;
+  cfg.mode = CountMode::kKeyCount;
+  cfg.strategy = MigrationStrategy::kAllAtOnce;
+  cfg.schedule = {{200, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)},
+                  {200, MakeInitialAssignment(cfg.num_bins, cfg.workers)}};
+  auto result = RunCountBench(cfg);
+  ASSERT_EQ(result.migrations.size(), 2u);
+  const MigrationStats& first = result.migrations[0];
+  const MigrationStats& second = result.migrations[1];
+  EXPECT_EQ(first.batches, 1u);
+  EXPECT_EQ(second.batches, 1u);
+  EXPECT_GT(first.end_sec, first.start_sec);
+  EXPECT_DOUBLE_EQ(second.start_sec, first.end_sec);
+  EXPECT_GT(second.end_sec, second.start_sec);
 }
 
 class CountBenchModes : public ::testing::TestWithParam<CountMode> {};

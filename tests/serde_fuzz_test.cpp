@@ -511,9 +511,11 @@ TEST(SerdeFuzz, OutOfRangeSegmentBinIsASerdeError) {
   EXPECT_THROW(AbsorbAtWorkerOne(frames, 0, packed), SerdeError);
 }
 
-// Every prefix of a dense chunk payload either fails with SerdeError (a
-// torn offset or a torn value) or absorbs as a shorter, valid chunk: a
-// prefix of the values, never a read past the buffer.
+// Every proper prefix of a dense chunk payload fails with SerdeError:
+// either the chunk itself (a torn header, a torn value, no values) or, if
+// it absorbs as a shorter run of the values, FinishAbsorb, because the
+// bin falls short of the total its header carries. Never a read past the
+// buffer.
 TEST(SerdeFuzz, DenseChunkPrefixTruncation) {
   Xoshiro256 rng(17);
   state::DenseState<uint64_t> src;
@@ -525,17 +527,24 @@ TEST(SerdeFuzz, DenseChunkPrefixTruncation) {
   });
   ASSERT_EQ(chunks.size(), 1u);
   const std::vector<uint8_t>& full = chunks[0];
-  for (size_t len = 0; len < full.size(); ++len) {
+  constexpr size_t kHead = 2 * sizeof(uint64_t);
+  for (size_t len = 0; len <= full.size(); ++len) {
     Reader r(full.data(), len);
     state::DenseState<uint64_t> back;
-    if (len < sizeof(uint64_t) || (len - sizeof(uint64_t)) % 8 != 0) {
+    if (len <= kHead || (len - kHead) % 8 != 0) {
       EXPECT_THROW(back.AbsorbChunk(r), SerdeError) << "len=" << len;
       continue;
     }
     back.AbsorbChunk(r);
-    size_t n = (len - sizeof(uint64_t)) / 8;
+    size_t n = (len - kHead) / 8;
     ASSERT_EQ(back.size(), n) << "len=" << len;
     for (size_t i = 0; i < n; ++i) EXPECT_EQ(back[i], src[i]);
+    if (len < full.size()) {
+      EXPECT_THROW(back.FinishAbsorb(), SerdeError) << "len=" << len;
+    } else {
+      back.FinishAbsorb();
+      EXPECT_EQ(back, src);
+    }
   }
 }
 

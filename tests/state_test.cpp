@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
-#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -122,6 +121,64 @@ TEST(DenseState, ChunkGapIsASerdeError) {
   EXPECT_THROW(out.AbsorbChunk(r), SerdeError);
 }
 
+/// A hand-made dense chunk: [u64 offset][u64 total][values].
+std::vector<uint8_t> DenseChunk(uint64_t off, uint64_t total,
+                                const std::vector<uint64_t>& values) {
+  Writer w;
+  w.WriteBytes(&off, sizeof(off));
+  w.WriteBytes(&total, sizeof(total));
+  w.WriteBytes(values.data(), values.size() * sizeof(uint64_t));
+  return w.Take();
+}
+
+/// Absorbs `chunks` into a fresh state, in order, then finishes it.
+void AbsorbAll(const std::vector<std::vector<uint8_t>>& chunks) {
+  DenseState<uint64_t> out;
+  for (const auto& c : chunks) {
+    Reader r(c);
+    out.AbsorbChunk(r);
+  }
+  out.FinishAbsorb();
+}
+
+// Every chunk carries the bin's total, so each inconsistency in a chunk
+// sequence is caught where it shows, as a SerdeError.
+TEST(DenseState, InconsistentChunkSequencesAreSerdeErrors) {
+  const std::vector<uint64_t> v4 = {1, 2, 3, 4};
+  AbsorbAll({DenseChunk(0, 8, v4), DenseChunk(4, 8, v4)});  // the good one
+  // Truncated bin: the second chunk never arrives.
+  EXPECT_THROW(AbsorbAll({DenseChunk(0, 8, v4)}), SerdeError);
+  // The chunks disagree on the total.
+  EXPECT_THROW(AbsorbAll({DenseChunk(0, 8, v4), DenseChunk(4, 9, v4)}),
+               SerdeError);
+  // Overlap: the second chunk rewrites values already absorbed.
+  EXPECT_THROW(AbsorbAll({DenseChunk(0, 8, v4), DenseChunk(2, 8, v4)}),
+               SerdeError);
+  EXPECT_THROW(AbsorbAll({DenseChunk(0, 8, v4), DenseChunk(0, 8, v4)}),
+               SerdeError);
+  // Overrun: more values than the total, in the first or a later chunk.
+  EXPECT_THROW(AbsorbAll({DenseChunk(0, 3, v4)}), SerdeError);
+  EXPECT_THROW(AbsorbAll({DenseChunk(0, 6, v4), DenseChunk(4, 6, v4)}),
+               SerdeError);
+  // A chunk with no values, and a zero total.
+  EXPECT_THROW(AbsorbAll({DenseChunk(0, 8, {})}), SerdeError);
+  EXPECT_THROW(AbsorbAll({DenseChunk(0, 0, v4)}), SerdeError);
+}
+
+// A corrupt total reserves at most kMaxReserveBytes up front and fails
+// as a SerdeError at the end of the bin, never as bad_alloc.
+TEST(DenseState, HostileTotalIsBoundedAndRejected) {
+  using D = DenseState<uint64_t>;
+  for (uint64_t total : {uint64_t{1} << 40, ~uint64_t{0}}) {
+    D out;
+    auto c = DenseChunk(0, total, {7, 8, 9});
+    Reader r(c);
+    out.AbsorbChunk(r);
+    EXPECT_LE(out.raw().capacity() * sizeof(uint64_t), D::kMaxReserveBytes);
+    EXPECT_THROW(out.FinishAbsorb(), SerdeError) << "total=" << total;
+  }
+}
+
 TEST(BlobState, SlicesAndReassemblesAnySerdeType) {
   BlobState<std::map<std::string, std::vector<uint64_t>>> b;
   Xoshiro256 rng(3);
@@ -167,8 +224,8 @@ TEST(Sections, AppendSectionPatchesTheLengthAndReadsBack) {
 }
 
 // The bulk path must cut chunks exactly where the per-element loop does
-// ("stop once [u64 offset] + values reaches the bound"), so frames stay
-// byte-identical: 8191 u64 values per 64 KB chunk.
+// ("stop once [u64 offset][u64 total] + values reaches the bound"), so
+// frames stay byte-identical: 8190 u64 values per 64 KB chunk.
 TEST(DenseState, BulkChunksCutWhereThePerElementLoopCuts) {
   DenseState<uint64_t> d;
   d.resize(1 << 16);
@@ -183,8 +240,8 @@ TEST(DenseState, BulkChunksCutWhereThePerElementLoopCuts) {
     size_t off = 0;
     for (const auto& c : chunks) {
       Writer w;
-      uint64_t off64 = off;
-      w.WriteBytes(&off64, sizeof(off64));
+      const uint64_t head[2] = {off, d.size()};
+      w.WriteBytes(head, sizeof(head));
       while (off < d.size()) {
         Encode(w, d[off++]);
         if (w.size() >= bound) break;
@@ -199,7 +256,7 @@ TEST(DenseState, BulkChunksCutWhereThePerElementLoopCuts) {
     EXPECT_EQ(c.capacity(), c.size()) << "chunk buffer sized to the chunk";
   });
   ASSERT_EQ(sizes.size(), 9u);
-  EXPECT_EQ(sizes[0], 8 + 8191 * 8u);
+  EXPECT_EQ(sizes[0], 16 + 8190 * 8u);
 }
 
 TEST(DenseState, PayloadEndingMidValueIsASerdeError) {
@@ -210,21 +267,47 @@ TEST(DenseState, PayloadEndingMidValueIsASerdeError) {
     chunks.push_back(std::move(c));
   });
   ASSERT_EQ(chunks.size(), 1u);
-  chunks[0].pop_back();  // 8 + 79 bytes: the last value is torn
+  chunks[0].pop_back();  // 16 + 79 bytes: the last value is torn
   DenseState<uint64_t> out;
   Reader r(chunks[0]);
   EXPECT_THROW(out.AbsorbChunk(r), SerdeError);
 }
 
-// Absorb grows capacity in powers of two, as element-wise push_back did;
-// resizing to each chunk's end would leave ~2x the final size reserved.
-TEST(DenseState, AbsorbedCapacityStaysWithinBitCeil) {
+// Absorb allocates once, at the first chunk, for the bin's total: later
+// chunks append into that capacity, so the storage never moves and ends
+// exactly full.
+TEST(DenseState, AbsorbAllocatesOnceAtTheTotal) {
   DenseState<uint64_t> src;
   src.resize(1 << 16);
   for (size_t i = 0; i < src.size(); ++i) src[i] = i;
-  DenseState<uint64_t> out = ChunkRoundTrip(src, 65536);
+  std::vector<std::vector<uint8_t>> chunks;
+  src.EnumerateChunks(65536, [&](std::vector<uint8_t>&& c) {
+    chunks.push_back(std::move(c));
+  });
+  ASSERT_GT(chunks.size(), 2u);
+  DenseState<uint64_t> out;
+  const uint64_t* storage = nullptr;
+  for (const auto& c : chunks) {
+    Reader r(c);
+    out.AbsorbChunk(r);
+    if (storage == nullptr) storage = out.data();
+    EXPECT_EQ(out.data(), storage) << "after " << out.size() << " values";
+  }
+  out.FinishAbsorb();
   EXPECT_EQ(out, src);
-  EXPECT_LE(out.raw().capacity(), std::bit_ceil(out.size()));
+  EXPECT_EQ(out.raw().capacity(), out.size());
+}
+
+// A bin larger than the up-front reserve cap grows past it and still ends
+// with capacity exactly at its total.
+TEST(DenseState, BinAboveTheReserveCapEndsExactlyFull) {
+  using D = DenseState<uint64_t>;
+  D src;
+  src.resize(D::kMaxReserveBytes / sizeof(uint64_t) * 3 / 2 + 5);
+  for (size_t i = 0; i < src.size(); ++i) src[i] = i * 3;
+  D out = ChunkRoundTrip(src, 1 << 20);
+  EXPECT_EQ(out, src);
+  EXPECT_EQ(out.raw().capacity(), out.size());
 }
 
 // Value types that do not encode as their raw bytes keep the per-element
