@@ -13,8 +13,8 @@
 //
 // A figure is its variant table, its config block and its own keys.
 // Every count figure builds its base config with CountConfigFromFlags
-// (workers, bins, domain, rate, run length and the chunk flags over the
-// figure's defaults), and every open-loop figure (1, 5-12, 22, 24, 25)
+// (workers, bins, domain, rate, run length and the chunk bound over the
+// figure's defaults), and every open-loop figure (1, 5-20, 22, 24, 25)
 // runs and reports its variants through one VariantRunner.
 //
 // Reports: text tables print to stdout, and one merged JSON report is
@@ -22,9 +22,8 @@
 // one common block per variant, BeginVariant below: label, strategy,
 // processes_reporting, records or events sent, steady percentiles,
 // migration windows with max_latency_during_migration_ms, latency
-// timeline rows and RSS; a figure adds only its own keys. Overhead
-// figures carry per-record percentiles + CCDF instead of timelines.
-// README.md lists the schema.
+// timeline rows and RSS; a figure adds only its own keys. README.md
+// lists the schema.
 #pragma once
 
 #include <stdlib.h>
@@ -264,9 +263,9 @@ inline uint64_t DurationMsFromFlags(const Flags& flags, double rate,
 }
 
 /// A count figure's base config: every worker of `procs`, key-count, and
-/// --bins, --domain, --rate, the run length (DurationMsFromFlags),
-/// --chunk-bytes (0 = monolithic single-frame migration) and
-/// --chunk-step-bytes (per-step chunk budget) over the figure's defaults.
+/// --bins, --domain, --rate, the run length (DurationMsFromFlags) and
+/// --chunk-bytes (0 = monolithic single-frame migration) over the
+/// figure's defaults.
 inline CountBenchConfig CountConfigFromFlags(
     const BenchProcs& procs, const Flags& flags, uint32_t bins,
     uint64_t domain, double rate, uint64_t duration_ms,
@@ -278,7 +277,6 @@ inline CountBenchConfig CountConfigFromFlags(
   c.rate = flags.GetDouble("rate", rate);
   c.duration_ms = DurationMsFromFlags(flags, c.rate, duration_ms);
   c.chunk_bytes = flags.GetInt("chunk-bytes", chunk_bytes);
-  c.chunk_bytes_per_step = flags.GetInt("chunk-step-bytes", 0);
   return c;
 }
 
@@ -310,14 +308,14 @@ inline bool NativeEnabled(const Flags& flags) {
 
 // ------------------------------------------------------ variant report
 
-/// The open-loop figures' variant runner (figs 1, 5-12 with the native
-/// panel, 22, 24 and 25). It opens the report's "variants" array; each
-/// Run runs one variant and, on the root, prints its timeline, its
-/// migration summary and its steady p99 / max-during-migration line (a
-/// variant without a strategy, the native panel, has no migrations),
-/// then writes the shared JSON block (benchjson::BeginVariant), lets
-/// `extra(r)` write the figure's own keys and print-outs, and closes the
-/// variant. End closes the array.
+/// The open-loop figures' variant runner (figs 1, 5-20, 22, 24 and 25).
+/// It opens the report's "variants" array; each Run runs one variant and,
+/// on the root, prints its timeline, its migration summary and its steady
+/// p99 / max-during-migration line (a variant without a strategy, such as
+/// the native panel or an overhead row, has no migrations), then writes
+/// the shared JSON block (benchjson::BeginVariant), lets `extra(r)` write
+/// the figure's own keys and print-outs, and closes the variant. End
+/// closes the array.
 class VariantRunner {
  public:
   VariantRunner(BenchProcs& procs, JsonWriter& j) : procs_(procs), j_(j) {
@@ -417,7 +415,6 @@ inline void RunNexmarkFig(BenchProcs& procs, const Flags& flags, int q,
   base.duration_ms = DurationMsFromFlags(flags, base.rate, 5000);
   base.qcfg.num_bins = static_cast<uint32_t>(flags.GetInt("bins", 256));
   base.qcfg.chunk_bytes = flags.GetInt("chunk-bytes", 0);
-  base.qcfg.chunk_bytes_per_step = flags.GetInt("chunk-step-bytes", 0);
   base.batch_size = flags.GetInt("batch_size", 16);
   base.gcfg.auction_duration_ms = flags.GetInt("auction_ms", 1000);
   base.qcfg.q5_slide_ms = flags.GetInt("q5_slide_ms", 250);
@@ -505,35 +502,28 @@ inline void RunOverheadFig(BenchProcs& procs, const Flags& flags, int fig,
   j.EndObject();
 
   std::vector<std::pair<std::string, Histogram>> rows;  // name, per_record
-  j.Key("variants").BeginArray();
-  auto add_row = [&](const std::string& name, uint64_t bins,
-                     const CountBenchConfig& cfg) {
-    auto r = procs.Run(cfg);
-    if (!r.root) return;
-    j.BeginObject();
-    j.Key("label").Value(name);
-    if (bins > 0) j.Key("bins").Value(bins);
-    j.Key("processes_reporting").Value(
-        static_cast<uint64_t>(r.shards.size()));
-    benchjson::HistSummary(j, "per_record", r.per_record);
-    benchjson::Ccdf_(j, r.per_record);
-    benchjson::Rss_(j, r.rss_samples);
-    j.EndObject();
-    rows.emplace_back(name, r.per_record);
+  VariantRunner runner(procs, j);
+  auto run = [&](const std::string& name, uint64_t bins,
+                 const CountBenchConfig& cfg) {
+    runner.Run(name.c_str(), cfg, std::nullopt,
+               [&](const CountBenchResult& r) {
+                 if (bins > 0) j.Key("bins").Value(bins);
+                 benchjson::HistSummary(j, "per_record", r.per_record);
+                 benchjson::Ccdf_(j, r.per_record);
+                 rows.emplace_back(name, r.per_record);
+               });
   };
   for (uint32_t lb : log_bins) {
     CountBenchConfig cfg = base;
     cfg.num_bins = 1u << lb;
-    if (cfg.num_bins <= cfg.domain) {
-      add_row(std::to_string(lb), cfg.num_bins, cfg);
-    }
+    if (cfg.num_bins <= cfg.domain) run(std::to_string(lb), cfg.num_bins, cfg);
   }
   if (NativeEnabled(flags)) {
     CountBenchConfig cfg = base;
     cfg.mode = native_mode;
-    add_row("Native", 0, cfg);
+    run("Native", 0, cfg);
   }
-  j.EndArray();
+  runner.End();
 
   PrintPercentileHeader();
   for (const auto& [name, hist] : rows) PrintPercentileRow(name, hist);
@@ -583,7 +573,7 @@ inline void RunSweepFig(BenchProcs& procs, const Flags& flags, int fig,
                   : std::vector<uint64_t>{256, 1024, 4096};
   }
 
-  j.Key("variants").BeginArray();
+  VariantRunner runner(procs, j);
   for (auto strat : {MigrationStrategy::kAllAtOnce, MigrationStrategy::kFluid,
                      MigrationStrategy::kBatched}) {
     if (!VariantEnabled(flags, StrategyName(strat), strat)) continue;
@@ -603,22 +593,17 @@ inline void RunSweepFig(BenchProcs& procs, const Flags& flags, int fig,
       }
       cfg.schedule = {
           {migrate_at, MakeImbalancedAssignment(cfg.num_bins, cfg.workers)}};
-      auto r = procs.Run(cfg);
-      if (!r.root) continue;
-      PrintMigrationSummary(StrategyName(strat), p,
-                            fig == 17 ? "domain" : "bins", r.migrations);
-      j.BeginObject();
-      j.Key("label").Value(StrategyName(strat));
-      j.Key("strategy").Value(StrategyName(strat));
-      j.Key(fig == 17 ? "domain" : "bins").Value(p);
-      j.Key("processes_reporting").Value(
-          static_cast<uint64_t>(r.shards.size()));
-      benchjson::Migrations(j, r.migrations);
-      benchjson::Rss_(j, r.rss_samples);
-      j.EndObject();
+      runner.Run(StrategyName(strat), cfg, strat,
+                 [&](const CountBenchResult& r) {
+                   if (fig == 17) {
+                     PrintMigrationSummary(StrategyName(strat), p, "domain",
+                                           r.migrations);
+                   }
+                   j.Key(fig == 17 ? "domain" : "bins").Value(p);
+                 });
     }
   }
-  j.EndArray();
+  runner.End();
 }
 
 // ------------------------------------------------------- fig 19 and 20
@@ -640,7 +625,6 @@ inline void RunFig19(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
 
   std::printf("# Figure 19: offered load vs max latency; domain=%llu bins=%u\n",
               static_cast<unsigned long long>(base.domain), base.num_bins);
-  std::printf("%12s %14s %14s\n", "strategy", "rate_per_s", "max_latency_s");
 
   j.Key("config").BeginObject();
   j.Key("workload").Value("key-count");
@@ -650,7 +634,8 @@ inline void RunFig19(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   j.EndObject();
 
   using V = std::tuple<const char*, bool, MigrationStrategy>;
-  j.Key("variants").BeginArray();
+  std::vector<std::tuple<const char*, double, double>> table;
+  VariantRunner runner(procs, j);
   for (auto [label, migrate, strategy] :
        {V{"non-migrating", false, MigrationStrategy::kAllAtOnce},
         V{"all-at-once", true, MigrationStrategy::kAllAtOnce},
@@ -668,22 +653,22 @@ inline void RunFig19(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
                          MakeImbalancedAssignment(cfg.num_bins, cfg.workers)}};
       }
       cfg.strategy = strategy;
-      auto r = procs.Run(cfg);
-      if (!r.root) continue;
-      double max_s =
-          static_cast<double>(r.timeline.MaxIn(0, ~uint64_t{0})) * 1e-9;
-      std::printf("%12s %14.0f %14.4f\n", label, rate, max_s);
-      j.BeginObject();
-      j.Key("label").Value(label);
-      j.Key("rate").Value(rate);
-      j.Key("max_latency_s").Value(max_s);
-      j.Key("processes_reporting").Value(
-          static_cast<uint64_t>(r.shards.size()));
-      benchjson::Rss_(j, r.rss_samples);
-      j.EndObject();
+      runner.Run(label, cfg,
+                 migrate ? std::optional{strategy} : std::nullopt,
+                 [&](const CountBenchResult& r) {
+                   const double max_s =
+                       r.timeline.MaxIn(0, ~uint64_t{0}) * 1e-9;
+                   j.Key("rate").Value(rate);
+                   j.Key("max_latency_s").Value(max_s);
+                   table.emplace_back(label, rate, max_s);
+                 });
     }
   }
-  j.EndArray();
+  runner.End();
+  std::printf("%12s %14s %14s\n", "strategy", "rate_per_s", "max_latency_s");
+  for (const auto& [label, rate, max_s] : table) {
+    std::printf("%12s %14.0f %14.4f\n", label, rate, max_s);
+  }
 }
 
 /// Figure 20: resident set size over time per migration strategy (RSS is
@@ -709,40 +694,31 @@ inline void RunFig20(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
   j.Key("state_bytes_per_sec").Value(base.state_bytes_per_sec);
   j.EndObject();
 
-  j.Key("variants").BeginArray();
+  VariantRunner runner(procs, j);
   for (auto strat : {MigrationStrategy::kAllAtOnce, MigrationStrategy::kBatched,
                      MigrationStrategy::kFluid}) {
-    if (!VariantEnabled(flags, StrategyName(strat), strat)) continue;
+    const char* label = StrategyName(strat);
+    if (!VariantEnabled(flags, label, strat)) continue;
     CountBenchConfig cfg = base;
     cfg.strategy = strat;
-    auto r = procs.Run(cfg);
-    if (!r.root) continue;
-    std::printf("# rss %s\n%10s %14s\n", StrategyName(strat), "time_s",
-                "rss_mb");
-    uint64_t peak = 0, baseline = 0;
-    j.BeginObject();
-    j.Key("label").Value(StrategyName(strat));
-    j.Key("rss").BeginArray();
-    for (const auto& [t, rss] : r.rss_samples) {
-      std::printf("%10.2f %14.1f\n", t, static_cast<double>(rss) / 1048576.0);
-      peak = std::max(peak, rss);
-      if (baseline == 0) baseline = rss;
-      j.BeginArray();
-      j.Value(t);
-      j.Value(rss);
-      j.EndArray();
-    }
-    j.EndArray();
-    j.Key("baseline_mb").Value(baseline / 1048576.0);
-    j.Key("peak_mb").Value(peak / 1048576.0);
-    j.Key("spike_mb").Value((peak - baseline) / 1048576.0);
-    benchjson::Migrations(j, r.migrations);
-    j.EndObject();
-    std::printf("# %s: baseline=%.1f MB peak=%.1f MB spike=%.1f MB\n\n",
-                StrategyName(strat), baseline / 1048576.0, peak / 1048576.0,
-                (peak - baseline) / 1048576.0);
+    runner.Run(label, cfg, strat, [&](const CountBenchResult& r) {
+      std::printf("# rss %s\n%10s %14s\n", label, "time_s", "rss_mb");
+      uint64_t peak = 0, baseline = 0;
+      for (const auto& [t, rss] : r.rss_samples) {
+        std::printf("%10.2f %14.1f\n", t,
+                    static_cast<double>(rss) / 1048576.0);
+        peak = std::max(peak, rss);
+        if (baseline == 0) baseline = rss;
+      }
+      j.Key("baseline_mb").Value(baseline / 1048576.0);
+      j.Key("peak_mb").Value(peak / 1048576.0);
+      j.Key("spike_mb").Value((peak - baseline) / 1048576.0);
+      std::printf("# %s: baseline=%.1f MB peak=%.1f MB spike=%.1f MB\n",
+                  label, baseline / 1048576.0, peak / 1048576.0,
+                  (peak - baseline) / 1048576.0);
+    });
   }
-  j.EndArray();
+  runner.End();
 }
 
 // ------------------------------------------------- fig 22 (chunked mig)
@@ -783,7 +759,6 @@ inline void RunFig22(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     if (!VariantEnabled(flags, label, base.strategy)) continue;
     CountBenchConfig cfg = base;
     cfg.chunk_bytes = chunk_bytes;
-    if (chunk_bytes == 0) cfg.chunk_bytes_per_step = 0;
     runner.Run(label, cfg, cfg.strategy, [&](const CountBenchResult&) {
       j.Key("chunk_bytes").Value(chunk_bytes);
     });
@@ -979,7 +954,6 @@ inline void RunFig25(BenchProcs& procs, const Flags& flags, JsonWriter& j) {
     dc.migrate_at_epoch = 2;
     dc.strategy = MigrationStrategy::kFluid;
     dc.chunk_bytes = 4096;
-    dc.chunk_bytes_per_step = 16384;
     const timely::Config single{dc.total_workers};
     DetCountResult ref = RunDeterministicCount(dc, single);
     DetCountConfig dl = dc;
@@ -1211,8 +1185,6 @@ inline void BenchDriverUsage() {
       "  --rate=R          records/second offered load\n"
       "  --chunk-bytes=N   state-chunk frame bound; 0 = monolithic\n"
       "                    single-frame migration (fig 22 default 64K)\n"
-      "  --chunk-step-bytes=N  per-step chunk flow-control budget\n"
-      "                    (default 4x chunk-bytes)\n"
       "  --out=PATH        merged JSON report path\n"
       "                    (default megabench_figN.json)\n"
       "  --process-index=I manual multi-process mode (no fork); every\n"

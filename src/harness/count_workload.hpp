@@ -99,11 +99,9 @@ struct CountBenchConfig {
   uint64_t duration_ms = 3000;
   CountMode mode = CountMode::kKeyCount;
   uint64_t state_bytes_per_sec = 0;
-  /// State-chunk frame bound and per-step flow-control budget
-  /// (megaphone::Config::chunk_bytes / chunk_bytes_per_step; 0 =
+  /// State-chunk frame bound (megaphone::Config::chunk_bytes; 0 =
   /// monolithic single-frame migration).
   uint64_t chunk_bytes = 0;
-  uint64_t chunk_bytes_per_step = 0;
 
   /// Migrations, at ms since the measurement start.
   MigrationPlan schedule;
@@ -234,7 +232,6 @@ CountOperator<T> BuildCountOperator(const CountBenchConfig& cfg,
   mcfg.num_bins = cfg.num_bins;
   mcfg.state_bytes_per_sec = cfg.state_bytes_per_sec;
   mcfg.chunk_bytes = cfg.chunk_bytes;
-  mcfg.chunk_bytes_per_step = cfg.chunk_bytes_per_step;
   mcfg.name = CountModeName(cfg.mode);
   auto mega = [](auto out) {
     return CountOperator<T>{out.probe, out.take_bin_stats};
@@ -508,10 +505,9 @@ struct DetCountConfig {
   MigrationPlan schedule;
   MigrationStrategy strategy = MigrationStrategy::kFluid;
   size_t batch_size = 1;
-  /// State-chunk frame bound and per-step budget (0 = monolithic). The
-  /// final digest must be byte-identical at every setting.
+  /// State-chunk frame bound (0 = monolithic). The final digest must be
+  /// byte-identical at every setting.
   uint64_t chunk_bytes = 0;
-  uint64_t chunk_bytes_per_step = 0;
   uint64_t seed = 1;
 
   /// Operator state backend: the in-memory MapState or the spill-to-disk
@@ -638,7 +634,6 @@ inline DetCountResult RunDeterministicCount(const DetCountConfig& cfg,
       Config mcfg;
       mcfg.num_bins = cfg.num_bins;
       mcfg.chunk_bytes = cfg.chunk_bytes;
-      mcfg.chunk_bytes_per_step = cfg.chunk_bytes_per_step;
       mcfg.name = "DetCount";
       if (start_epoch > 0) mcfg.initial_owner = seg.assignment;
       // Every record emits its key's running count; the collector below

@@ -242,10 +242,9 @@ struct DetNexmarkConfig {
   uint64_t migrate_at_epoch = 2;
   MigrationStrategy strategy = MigrationStrategy::kFluid;
   size_t batch_size = 1;
-  /// State-chunk frame bound and per-step budget (0 = monolithic). The
-  /// output digest must be independent of the setting.
+  /// State-chunk frame bound (0 = monolithic). The output digest must be
+  /// independent of the setting.
   uint64_t chunk_bytes = 0;
-  uint64_t chunk_bytes_per_step = 0;
   nexmark::GeneratorConfig gcfg;
 };
 
@@ -282,7 +281,6 @@ inline DetNexmarkResult RunDeterministicNexmarkQ3(const DetNexmarkConfig& cfg,
       nexmark::QueryConfig qcfg;
       qcfg.num_bins = cfg.num_bins;
       qcfg.chunk_bytes = cfg.chunk_bytes;
-      qcfg.chunk_bytes_per_step = cfg.chunk_bytes_per_step;
       auto out = nexmark::Q3Mega(ctrl_stream, streams, qcfg);
 
       // Collector on global worker 0: the single point of truth any

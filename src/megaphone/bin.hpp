@@ -174,6 +174,18 @@ struct BinsShared {
     return inserted;
   }
 
+  /// Makes `b` resident as `bin`: registers its pending times, calling
+  /// `hold(t)` on each (S's capability hold), then installs it. The one
+  /// install path of migrated and checkpoint-restored bins.
+  template <typename HoldFn>
+  void Install(BinId bin, std::unique_ptr<BinT> b, HoldFn hold) {
+    b->ForEachPendingTime([&](const T& t) {
+      RegisterPending(t, bin);
+      hold(t);
+    });
+    bins[bin] = std::move(b);
+  }
+
   /// Number of resident bins (for tests and load introspection).
   size_t ResidentBins() const {
     size_t n = 0;

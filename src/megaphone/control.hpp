@@ -450,9 +450,6 @@ class ControlState {
     return any;
   }
 
-  bool idle() const {
-    return pending_.empty() && migrations_.empty() && outgoing_.empty();
-  }
   /// Bins whose frames are not all sent yet.
   size_t queued_bins() const { return outgoing_.size(); }
 

@@ -17,11 +17,10 @@
 //     channel. The bin moves into a cursor that encodes its content
 //     only as it is sent, packed with the other bins for the same target
 //     at t into shared BinChunk frames; with Config::chunk_bytes set the
-//     frames are size-bounded and metered out across worker steps under
-//     Config::chunk_bytes_per_step (flow control), interleaved with data
-//     processing. F keeps its capability at t until the frame carrying
-//     the last segment at t has gone out, so the frontier argument is
-//     unchanged.
+//     frames are size-bounded and metered out kChunkFramesPerStep per
+//     worker step (flow control), interleaved with data processing.
+//     F keeps its capability at t until the frame carrying the last
+//     segment at t has gone out, so the frontier argument is unchanged.
 //
 //   * S hosts the bins. It installs received state immediately — chunked
 //     state incrementally, frame by frame, through the migratable-state
@@ -68,6 +67,9 @@
 
 namespace megaphone {
 
+/// Full chunk frames F may send per worker step.
+constexpr uint64_t kChunkFramesPerStep = 4;
+
 /// Configuration of a Megaphone stateful operator.
 struct Config {
   /// Number of bins; must be a power of two, fixed at construction
@@ -84,11 +86,6 @@ struct Config {
   /// frames incrementally (src/state/), so the per-frame stall on worker
   /// and wire is bounded by the chunk size, not the bin size.
   uint64_t chunk_bytes = 0;
-  /// Per-worker-step budget on chunk payload bytes leaving F — the flow
-  /// control that interleaves state movement with data processing,
-  /// counted like chunk_bytes, so k * chunk_bytes sends k full frames per
-  /// step. 0 = default 4 * chunk_bytes (unbounded when chunking is off).
-  uint64_t chunk_bytes_per_step = 0;
   /// Operator name (diagnostics).
   std::string name = "Stateful";
   /// Checkpoint restore: per-bin initial owner overriding the default
@@ -98,9 +95,12 @@ struct Config {
   /// and must not migrate at the minimum timestamp.
   std::vector<uint32_t> initial_owner;
 
+  /// Per-worker-step budget on chunk payload bytes leaving F — the flow
+  /// control that interleaves state movement with data processing:
+  /// kChunkFramesPerStep full frames per step (0, unbounded, when
+  /// chunking is off).
   uint64_t ChunkStepBudget() const {
-    if (chunk_bytes_per_step != 0) return chunk_bytes_per_step;
-    return chunk_bytes == 0 ? 0 : 4 * chunk_bytes;
+    return kChunkFramesPerStep * chunk_bytes;
   }
 };
 
@@ -335,11 +335,7 @@ void AbsorbChunkFrame(BinsShared<BinT, T>& shared,
       whole = std::move(it->second.bin);
       absorbing.erase(it);
     }
-    whole->ForEachPendingTime([&](const T& tp) {
-      shared.RegisterPending(tp, bin);
-      hold(tp);
-    });
-    shared.bins[bin] = std::move(whole);
+    shared.Install(bin, std::move(whole), hold);
   });
 }
 
@@ -595,12 +591,8 @@ StatefulOutput<R, T> Stateful(timely::Stream<ControlInst, T> control,
       for (auto& [rb, rbytes] : shared->restore_staging) {
         MEGA_CHECK(!shared->bins[rb]) << "restore into resident bin " << rb;
         Reader rr(rbytes);
-        auto rbin = std::make_unique<BinT>(BinT::Deserialize(rr));
-        rbin->ForEachPendingTime([&](const T& t) {
-          shared->RegisterPending(t, rb);
-          hold(t);
-        });
-        shared->bins[rb] = std::move(rbin);
+        shared->Install(rb, std::make_unique<BinT>(BinT::Deserialize(rr)),
+                        hold);
       }
       shared->restore_staging.clear();
       shared->restore_staging.shrink_to_fit();

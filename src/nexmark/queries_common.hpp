@@ -25,10 +25,9 @@ struct NexmarkStreams {
 /// configurable sizes.
 struct QueryConfig {
   uint32_t num_bins = 256;
-  /// State-chunk frame bound and per-step flow-control budget for the
-  /// query's stateful operators (0 = monolithic single-frame migration).
+  /// State-chunk frame bound for the query's stateful operators (0 =
+  /// monolithic single-frame migration).
   uint64_t chunk_bytes = 0;
-  uint64_t chunk_bytes_per_step = 0;
 
   uint32_t q3_category = 0;      // auction category to join on
   uint64_t q5_slide_ms = 200;    // Q5 slide ("report every second", dilated)

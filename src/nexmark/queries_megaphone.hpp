@@ -40,7 +40,6 @@ Config MegaConfig(const QueryConfig& cfg, const char* name) {
   Config m;
   m.num_bins = cfg.num_bins;
   m.chunk_bytes = cfg.chunk_bytes;
-  m.chunk_bytes_per_step = cfg.chunk_bytes_per_step;
   m.name = name;
   (void)sizeof(T);
   return m;

@@ -50,8 +50,6 @@ class KeyedState {
   const_iterator end() const { return map_.end(); }
   iterator erase(iterator it) { return map_.erase(it); }
   size_t erase(const K& k) { return map_.erase(k); }
-  /// Ordered containers only (instantiated on first use).
-  iterator lower_bound(const K& k) { return map_.lower_bound(k); }
   template <typename... Args>
   auto emplace(Args&&... args) {
     return map_.emplace(std::forward<Args>(args)...);

@@ -1,4 +1,4 @@
-// Stock dataflow operators: map, filter, flat_map, inspect, sink, concat,
+// Stock dataflow operators: map, filter, flat_map, sink, concat,
 // exchange, and a generic stateful unary operator.
 //
 // These mirror timely dataflow's stream extension methods and are the
@@ -58,23 +58,6 @@ Stream<R, T> FlatMap(Stream<D, T> stream, F f) {
     in->ForEach([&](const T& t, std::vector<D>& data) {
       for (auto& d : data) {
         f(std::move(d), [&](R r) { out->Send(t, std::move(r)); });
-      }
-    });
-  });
-  return result;
-}
-
-/// Invokes `f(time, record)` on every record and passes it through.
-template <typename D, typename T, typename F>
-Stream<D, T> Inspect(Stream<D, T> stream, F f) {
-  OperatorBuilder<T> b(*stream.scope(), "Inspect");
-  auto* in = b.AddInput(stream, Pact<D>::Pipeline());
-  auto [out, result] = b.template AddOutput<D>();
-  b.Build([in, out, f = std::move(f)](OpCtx<T>&) {
-    in->ForEach([&](const T& t, std::vector<D>& data) {
-      for (auto& d : data) {
-        f(t, d);
-        out->Send(t, std::move(d));
       }
     });
   });

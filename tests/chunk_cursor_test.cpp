@@ -198,8 +198,8 @@ TEST(ChunkCursor, EachFlushEncodesOnlyWhatItSends) {
   EXPECT_EQ(segments, 2 * kFramesPerBin);
 }
 
-// k x chunk_bytes of budget sends k full frames per step; the default
-// budget (4 x chunk_bytes) sends 4.
+// k x chunk_bytes of budget sends k full frames per step; the operator's
+// budget (kChunkFramesPerStep x chunk_bytes) sends 4.
 TEST(ChunkCursor, BudgetOfKChunksSendsKFullFrames) {
   Config cfg;
   cfg.chunk_bytes = kChunk;

@@ -70,8 +70,7 @@ RunResult RunMigratingWordCount(uint32_t workers, uint32_t num_bins,
                                 uint64_t gap, uint64_t epochs,
                                 uint64_t recs_per_epoch, uint64_t num_keys,
                                 uint64_t seed, std::vector<MigSpec> migs,
-                                uint64_t chunk_bytes = 0,
-                                uint64_t chunk_step = 0) {
+                                uint64_t chunk_bytes = 0) {
   RunResult result;
   std::mutex mu;
   Execute(timely::Config{workers}, [&](Worker& w) {
@@ -81,7 +80,6 @@ RunResult RunMigratingWordCount(uint32_t workers, uint32_t num_bins,
       Config cfg;
       cfg.num_bins = num_bins;
       cfg.chunk_bytes = chunk_bytes;
-      cfg.chunk_bytes_per_step = chunk_step;
       cfg.name = "WordCount";
       auto out = Unary<BinState, std::pair<uint64_t, uint64_t>>(
           ctrl_stream, data_stream,
@@ -188,9 +186,9 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "_" + strat;
     });
 
-// Chunked, flow-controlled migration (tiny chunks, a budget of barely two
-// chunks per step) must be output-identical to the monolithic path, under
-// every strategy and across a rebalance-and-back schedule.
+// Chunked, flow-controlled migration (tiny chunks, four per step) must be
+// output-identical to the monolithic path, under every strategy and
+// across a rebalance-and-back schedule.
 TEST(Megaphone, ChunkedMigrationMatchesReference) {
   const uint64_t epochs = 40, recs = 64, keys = 256, seed = 42;
   const uint32_t workers = 4, bins = 16;
@@ -203,7 +201,7 @@ TEST(Megaphone, ChunkedMigrationMatchesReference) {
     auto result = RunMigratingWordCount(
         workers, bins, strategy, /*batch_size=*/3, /*gap=*/0, epochs, recs,
         keys, seed, {MigSpec{10, imbalanced}, MigSpec{25, balanced}},
-        /*chunk_bytes=*/64, /*chunk_step=*/160);
+        /*chunk_bytes=*/64);
     EXPECT_EQ(result.rows, expected)
         << "chunked run diverged, strategy " << StrategyName(strategy);
     EXPECT_GE(result.completed_batches, 1u);
@@ -315,7 +313,6 @@ void RunPostDatedEchoTest(uint64_t chunk_bytes) {
       Config cfg;
       cfg.num_bins = bins;
       cfg.chunk_bytes = chunk_bytes;
-      cfg.chunk_bytes_per_step = chunk_bytes * 2;
       auto out = Unary<BinState, Out>(
           ctrl_stream, data_stream,
           [](const Rec& r) { return HashMix64(r.first); },

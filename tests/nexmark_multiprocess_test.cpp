@@ -81,7 +81,6 @@ TEST(NexmarkMultiProcess, Q3ChunkedMigrationMatchesMonolithic) {
   ASSERT_TRUE(ref.root);
 
   cfg.chunk_bytes = 128;
-  cfg.chunk_bytes_per_step = 256;
   MultiProcess mp = LaunchLoopbackProcesses(/*processes=*/2,
                                             /*workers_per_process=*/2);
   if (!mp.IsRoot()) {

@@ -214,9 +214,6 @@ TEST(StrategiesProperty, ChunkedDigestsMatchMonolithicUnderRandomSchedules) {
     for (uint64_t chunk_bytes : {48ull, 256ull, 4096ull}) {
       DetCountConfig chunked = cfg;
       chunked.chunk_bytes = chunk_bytes;
-      // Tight budget: at most ~two chunks per worker step, so the flow
-      // control genuinely interleaves chunks with data processing.
-      chunked.chunk_bytes_per_step = 2 * chunk_bytes;
       DetCountResult r = RunDeterministicCount(chunked, single);
       ASSERT_TRUE(r.root);
       EXPECT_EQ(r.digest, ref.digest)
@@ -251,7 +248,6 @@ TEST(StrategiesProperty, LogStateDigestsMatchMapStateUnderRandomSchedules) {
       lg.state_dir = tmpl;
       lg.spill_memtable_bytes = 256;  // force segment traffic
       lg.chunk_bytes = chunk_bytes;
-      lg.chunk_bytes_per_step = chunk_bytes ? 2 * chunk_bytes : 0;
       DetCountResult r = RunDeterministicCount(lg, single);
       ASSERT_TRUE(r.root);
       EXPECT_EQ(r.digest, ref.digest)
@@ -280,7 +276,6 @@ TEST(StrategiesProperty, ChunkedDigestsMatchAcrossTwoProcesses) {
   ASSERT_TRUE(ref.root);
 
   cfg.chunk_bytes = 64;
-  cfg.chunk_bytes_per_step = 128;
   MultiProcess mp = LaunchLoopbackProcesses(/*processes=*/2,
                                             /*workers_per_process=*/2);
   if (!mp.IsRoot()) {

@@ -4,11 +4,15 @@
 Modes, combinable:
 
   --report FILE [FILE ...]
-      Sanity-check merged figure reports: each must parse as JSON, carry a
-      non-empty "variants" array, and (for timeline figures) each variant
-      must report max_latency_during_migration_ms plus a non-empty latency
-      timeline aggregated from every launched process
-      (processes_reporting == the report's "processes").
+      Sanity-check merged figure reports: each must parse as JSON and
+      carry a non-empty "variants" array. Every variant of an open-loop
+      figure (1, 5-20, 22, 24, 25) must carry the shared block
+      benchjson::BeginVariant writes: a non-empty latency timeline with
+      samples, a steady summary (p50/p99/max/samples), RSS samples and
+      peak, a strategy and, unless the strategy is "none", the migration
+      windows with max_latency_during_migration_ms. Any variant that
+      reports processes_reporting must have merged every launched
+      process's shard (== the report's "processes").
 
   --headline FILE [FILE ...]
       The paper's headline ordering on fig-1 reports (megabench --fig=1):
@@ -133,6 +137,15 @@ def check_headline(path: str) -> None:
     )
 
 
+# Open-loop figures: VariantRunner writes every variant's shared block.
+# Fig 23 (recovery drill) and 21 (Table 1) have no open-loop variants.
+OPEN_LOOP_FIGS = {1, *range(5, 21), 22, 24, 25}
+SHARED_KEYS = ("strategy", "processes_reporting", "steady", "timeline",
+               "rss", "peak_rss_bytes")
+MIGRATION_KEYS = ("migrations", "max_latency_during_migration_ms")
+STEADY_KEYS = ("p50_ms", "p99_ms", "max_ms", "samples")
+
+
 def check_report(path: str) -> None:
     with open(path) as f:
         report = json.load(f)
@@ -140,8 +153,19 @@ def check_report(path: str) -> None:
     if not isinstance(variants, list) or not variants:
         fail(f"{path}: no variants in report")
     processes = int(report.get("processes", 1))
+    open_loop = report.get("fig") in OPEN_LOOP_FIGS
     for v in variants:
         label = v.get("label", "?")
+        if open_loop:
+            missing = [k for k in SHARED_KEYS if k not in v]
+            if v.get("strategy", "none") != "none":
+                missing += [k for k in MIGRATION_KEYS if k not in v]
+            steady = v.get("steady")
+            if not isinstance(steady, dict):
+                steady = {}
+            missing += [f"steady.{k}" for k in STEADY_KEYS if k not in steady]
+            if missing:
+                fail(f"{path}: variant {label} lacks {', '.join(missing)}")
         if "timeline" in v:
             if not v["timeline"]:
                 fail(f"{path}: variant {label} has an empty timeline")
